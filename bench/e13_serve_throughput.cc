@@ -1,5 +1,7 @@
 // Experiment E13 — serving-layer throughput. Part 1: queries/sec of the
-// batch-parallel QueryMany at 1, 2, 4, 8 threads against the serial seam,
+// pool-parallel QueryMany (ShardedEngine::QueryMany over one shard, which
+// splits the pack into query blocks) at 1, 2, 4, 8 threads against the
+// serial Engine::QueryMany,
 // on a warmed Engine (MostProbableNn over a 10k-point / 10k-query
 // discrete batch; spiral-search backend). Queries are read-only and
 // independent, so the speedup should track the participant count up to
@@ -36,7 +38,6 @@
 #include "bench_util.h"
 #include "engine/engine.h"
 #include "obs/profile.h"
-#include "serve/parallel.h"
 #include "serve/query_server.h"
 #include "serve/sharding.h"
 #include "serve/thread_pool.h"
@@ -57,17 +58,20 @@ int main(int argc, char** argv) {
 
   auto pts = workload::RandomDiscrete(n, 3, /*seed=*/13, /*spread=*/4.0);
   auto queries = bench::RandomQueries(num_queries, 30, 113);
-  Engine engine(pts, {});
+  auto engine = std::make_shared<const Engine>(pts, Engine::Config{});
+  serve::ShardedEngine one_shard(engine);
   const Engine::QuerySpec spec{Engine::QueryType::kMostProbableNn, 0.5, 1};
+  std::vector<serve::Request> requests;
+  for (Vec2 q : queries) requests.push_back({q, spec});
 
   bench::Timer tw;
-  engine.Warmup(spec);
+  engine->Warmup(spec);
   double warmup_ms = tw.Ms();
   printf("warmup (spiral search build): %.1f ms\n\n", warmup_ms);
 
   // Serial baseline: the Engine's own loop, no pool involved.
   bench::Timer ts;
-  auto serial = engine.QueryMany(queries, spec);
+  auto serial = engine->QueryMany(queries, spec);
   double serial_ms = ts.Ms();
   double serial_qps = num_queries / (serial_ms / 1000.0);
 
@@ -85,9 +89,9 @@ int main(int argc, char** argv) {
     // `threads` participants total: threads - 1 pool workers + the caller.
     serve::ThreadPool pool(threads - 1);
     // One untimed pass to let the OS place the worker threads.
-    serve::QueryMany(engine, queries, spec, &pool);
+    one_shard.QueryMany(queries, spec, &pool);
     bench::Timer tp;
-    auto parallel = serve::QueryMany(engine, queries, spec, &pool);
+    auto parallel = one_shard.QueryMany(queries, spec, &pool);
     double ms = tp.Ms();
     double qps = num_queries / (ms / 1000.0);
     // Answers must be bit-identical to the serial run.
@@ -110,9 +114,9 @@ int main(int argc, char** argv) {
     serve::QueryServer server(
         std::make_shared<const Engine>(pts, Engine::Config{}),
         {.num_threads = 7, .warm = {Engine::QueryType::kMostProbableNn}});
-    server.QueryBatch(queries, spec);  // Placement pass.
+    server.QueryBatch(requests);  // Placement pass.
     bench::Timer tb;
-    server.QueryBatch(queries, spec);
+    server.QueryBatch(requests);
     double ms = tb.Ms();
     double qps = num_queries / (ms / 1000.0);
     printf("\nQueryServer::QueryBatch (8 participants): %.1f ms, %.0f "
@@ -159,9 +163,9 @@ int main(int argc, char** argv) {
     serve::ShardedEngine sharded(std::move(engines), std::move(parts));
 
     serve::ThreadPool pool(7);
-    serve::QueryMany(sharded, queries, spec, &pool);  // Placement pass.
+    sharded.QueryMany(queries, spec, &pool);  // Placement pass.
     bench::Timer tq;
-    auto merged = serve::QueryMany(sharded, queries, spec, &pool);
+    auto merged = sharded.QueryMany(queries, spec, &pool);
     double ms = tq.Ms();
     double qps = num_queries / (ms / 1000.0);
 
@@ -329,6 +333,7 @@ int main(int argc, char** argv) {
   {
     auto engine_ptr = std::make_shared<const Engine>(pts, Engine::Config{});
     engine_ptr->Warmup(spec);
+    serve::ShardedEngine bare(engine_ptr);
     const int reps = 5;
 
     auto best_of = [&](auto&& run) {
@@ -344,20 +349,20 @@ int main(int argc, char** argv) {
     };
 
     serve::ThreadPool pool(7);
-    double baseline_ms = best_of(
-        [&] { serve::QueryMany(*engine_ptr, queries, spec, &pool); });
+    double baseline_ms =
+        best_of([&] { bare.QueryMany(queries, spec, &pool); });
 
     serve::QueryServer::Options off_opts;
     off_opts.num_threads = 7;
     off_opts.warm = {spec.type};
     serve::QueryServer obs_off(engine_ptr, off_opts);
-    double off_ms = best_of([&] { obs_off.QueryBatch(queries, spec); });
+    double off_ms = best_of([&] { obs_off.QueryBatch(requests); });
 
     serve::QueryServer::Options on_opts = off_opts;
     on_opts.slow_query_threshold = std::chrono::microseconds(1);
     serve::QueryServer obs_on(engine_ptr, on_opts);
     obs::EnableTraversalProfiling(true);
-    double on_ms = best_of([&] { obs_on.QueryBatch(queries, spec); });
+    double on_ms = best_of([&] { obs_on.QueryBatch(requests); });
     // Exercise the instrumented merge hooks so the dump below carries
     // traversal counters alongside the serving metrics.
     for (int i = 0; i < 32; ++i) {

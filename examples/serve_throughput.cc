@@ -27,18 +27,20 @@ int main() {
 
   // Blocking batched API: results[i] answers queries[i], sharded across
   // the pool.
-  std::vector<Vec2> batch;
-  for (int i = 0; i < 8; ++i) batch.push_back({i * 2.0 - 7.0, 1.0});
-  auto results =
-      server.QueryBatch(batch, {Engine::QueryType::kMostProbableNn});
+  std::vector<serve::Request> batch;
+  for (int i = 0; i < 8; ++i) {
+    batch.push_back(
+        {{i * 2.0 - 7.0, 1.0}, {Engine::QueryType::kMostProbableNn}});
+  }
+  auto responses = server.QueryBatch(batch);
   printf("batch of %zu: most probable NN =", batch.size());
-  for (const auto& r : results) printf(" P%d", r.nn);
+  for (const auto& r : responses) printf(" P%d", r.result.nn);
   printf("\n");
 
   // Async API: Submit returns a future; the query runs on a worker.
-  auto fut = server.Submit({0.5, 0.5}, {Engine::QueryType::kTopK, 0.5, 3});
+  auto fut = server.Submit({{0.5, 0.5}, {Engine::QueryType::kTopK, 0.5, 3}});
   printf("top-3 at (0.5, 0.5):");
-  for (auto [id, pi] : fut.get().ranked) printf("  P%d (%.3f)", id, pi);
+  for (auto [id, pi] : fut.get().result.ranked) printf("  P%d (%.3f)", id, pi);
   printf("\n");
 
   // Atomic dataset replacement: a pinned snapshot keeps answering for the

@@ -37,21 +37,26 @@ int main() {
   // global ids and match the unsharded semantics (exactly, for the
   // NN!=0 / expected-distance merges and exact-backend probability
   // merges; see docs/QUERY_SEMANTICS.md).
-  std::vector<Vec2> batch;
-  for (int i = 0; i < 8; ++i) batch.push_back({i * 2.0 - 7.0, 1.0});
-  auto results =
-      server.QueryBatch(batch, {Engine::QueryType::kMostProbableNn});
+  std::vector<serve::Request> batch;
+  for (int i = 0; i < 8; ++i) {
+    batch.push_back(
+        {{i * 2.0 - 7.0, 1.0}, {Engine::QueryType::kMostProbableNn}});
+  }
+  auto responses = server.QueryBatch(batch);
   printf("batch of %zu: most probable NN =", batch.size());
-  for (const auto& r : results) printf(" P%d", r.nn);
+  for (const auto& r : responses) printf(" P%d", r.result.nn);
   printf("\n");
 
-  auto fut = server.Submit({0.5, 0.5}, {Engine::QueryType::kNonzeroNn});
-  auto ids = fut.get().ids;
+  auto fut = server.Submit({{0.5, 0.5}, {Engine::QueryType::kNonzeroNn}});
+  auto ids = fut.get().result.ids;
   printf("NN!=0 at (0.5, 0.5): %zu candidates (exact cross-shard merge)\n",
          ids.size());
 
   // Direct ShardedEngine use, fanning one query across a caller pool:
-  auto top = snap->TopK({0.5, 0.5}, 3, &server.pool());
+  Vec2 q{0.5, 0.5};
+  auto top = snap->QueryMany({&q, 1}, {Engine::QueryType::kTopK, 0.5, 3},
+                             &server.pool())[0]
+                 .ranked;
   printf("top-3 at (0.5, 0.5):");
   for (auto [id, pi] : top) printf("  P%d (%.3f)", id, pi);
   printf("\n");

@@ -39,7 +39,6 @@ PREAMBLE = """\
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
-#include "serve/parallel.h"
 #include "serve/query_server.h"
 #include "serve/shard_merge.h"
 #include "serve/sharding.h"

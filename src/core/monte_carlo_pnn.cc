@@ -87,7 +87,7 @@ std::vector<std::vector<std::pair<int, double>>> MonteCarloPnn::QueryBatch(
   return out;
 }
 
-double MonteCarloPnn::QueryOne(Vec2 q, int i) const {
+double MonteCarloPnn::PointProbability(Vec2 q, int i) const {
   for (const auto& [id, p] : Query(q)) {
     if (id == i) return p;
   }

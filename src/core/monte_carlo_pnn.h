@@ -55,7 +55,7 @@ class MonteCarloPnn {
       spatial::BatchStats* stats = nullptr) const;
 
   /// Estimate for one id (0 if it never won).
-  double QueryOne(geom::Vec2 q, int i) const;
+  double PointProbability(geom::Vec2 q, int i) const;
 
  private:
   std::vector<UncertainPoint> points_;

@@ -13,8 +13,6 @@ namespace unn {
 
 namespace {
 
-using query_contract::SortByEstimate;
-
 /// The shared shape of every fixed-structure getter: build exactly once
 /// under the flag, count the build (StructuresBuilt observability), return
 /// the structure.
@@ -199,19 +197,7 @@ std::vector<std::pair<int, double>> Engine::ExactProbabilities(
 
 std::vector<std::pair<int, double>> Engine::Probabilities(
     geom::Vec2 q, double eps_needed) const {
-  double eps = eps_needed > 0 ? std::min(eps_needed, config_.eps)
-                              : config_.eps;
-  switch (EffectiveProbBackend()) {
-    case Backend::kSpiralSearch:
-      if (all_discrete_) return GetSpiralSearch().Query(q, eps);
-      // Theorem 4.5 discretization + discrete spiral search; the error
-      // budget is split evenly between the two stages.
-      return GetContinuousSpiral(eps / 2)->Query(q, eps / 2);
-    case Backend::kMonteCarlo:
-      return GetMonteCarlo(eps)->Query(q);
-    default:
-      return ExactProbabilities(q);
-  }
+  return std::move(ProbabilitiesMany({&q, 1}, eps_needed)[0]);
 }
 
 std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
@@ -222,6 +208,8 @@ std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
   switch (EffectiveProbBackend()) {
     case Backend::kSpiralSearch:
       if (all_discrete_) return GetSpiralSearch().QueryBatch(queries, eps, stats);
+      // Theorem 4.5 discretization + discrete spiral search; the error
+      // budget is split evenly between the two stages.
       return GetContinuousSpiral(eps / 2)->QueryBatch(queries, eps / 2, stats);
     case Backend::kMonteCarlo:
       return GetMonteCarlo(eps)->QueryBatch(queries, stats);
@@ -237,76 +225,29 @@ std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
   }
 }
 
-namespace {
-
-/// The argmax rule of MostProbableNn over one estimate list: largest
-/// estimate, first-in-id-order (the list is id-sorted, so `>` keeps the
-/// smaller id on ties) — shared by the scalar and batched arms.
-int PickMostProbable(const std::vector<std::pair<int, double>>& est) {
-  int best = -1;
-  double best_pi = -1.0;
-  for (auto [id, pi] : est) {
-    if (pi > best_pi) {
-      best = id;
-      best_pi = pi;
-    }
-  }
-  return best;
-}
-
-}  // namespace
+// ---------------------------------------------------------------------------
+// Per-type single-query methods: packs of one through QueryMany
+// ---------------------------------------------------------------------------
 
 int Engine::MostProbableNn(geom::Vec2 q) const {
-  return PickMostProbable(Probabilities(q));
+  return QueryMany({&q, 1}, {QueryType::kMostProbableNn})[0].nn;
+}
+
+int Engine::ExpectedDistanceNn(geom::Vec2 q) const {
+  return QueryMany({&q, 1}, {QueryType::kExpectedDistanceNn})[0].nn;
 }
 
 std::vector<std::pair<int, double>> Engine::Threshold(geom::Vec2 q,
                                                       double tau) const {
-  UNN_CHECK(tau > 0 && tau <= 1);
-  bool exact = EffectiveProbBackend() == Backend::kBruteForce;
-  // [DYM+05] semantics with no false negatives: estimate at accuracy
-  // tau/2 and report everyone whose estimate may still reach tau.
-  double eps = exact ? 0.0 : std::min(config_.eps, tau / 2);
-  auto est = Probabilities(q, tau / 2);
-  std::vector<std::pair<int, double>> out;
-  for (auto [id, pi] : est) {
-    if (pi + eps >= tau) out.push_back({id, pi});
-  }
-  SortByEstimate(&out);
-  return out;
+  return std::move(QueryMany({&q, 1}, {QueryType::kThreshold, tau})[0].ranked);
 }
 
 std::vector<std::pair<int, double>> Engine::TopK(geom::Vec2 q, int k) const {
-  UNN_CHECK(k >= 1);
-  auto est = Probabilities(q);
-  SortByEstimate(&est);
-  if (static_cast<int>(est.size()) > k) est.resize(k);
-  return est;
+  return std::move(QueryMany({&q, 1}, {QueryType::kTopK, 0.5, k})[0].ranked);
 }
 
-// ---------------------------------------------------------------------------
-// Expected-distance NN
-// ---------------------------------------------------------------------------
-
-int Engine::ExpectedDistanceNn(geom::Vec2 q) const {
-  const core::ExpectedNn& index = GetExpectedNn();
-  if (config_.backend != Backend::kBruteForce) {
-    return index.QueryExpected(q, config_.tol);
-  }
-  // Definition-level argmin of E[d(q, P_i)], pruned by the quantification
-  // index's min-distance bounds (E[d] >= delta_i). The pruning never
-  // skips a potential minimizer, so the answer matches the unpruned scan
-  // up to the documented near-tie caveat: quadrature-approximated values
-  // within Config::tol of each other may tie-break either way
-  // (docs/QUERY_SEMANTICS.md says the same of the unpruned path).
-  auto value = [&](int i) { return index.ExpectedDistance(i, q, config_.tol); };
-  if (obs::TraversalProfilingEnabled()) {
-    core::QuantTree::QueryStats st;
-    int nn = GetQuantTree().ArgminPointwise(q, value, &st);
-    obs::RecordTraversal(obs::TraversalOp::kQuantArgmin, st);
-    return nn;
-  }
-  return GetQuantTree().ArgminPointwise(q, value);
+std::vector<int> Engine::NonzeroNn(geom::Vec2 q) const {
+  return std::move(QueryMany({&q, 1}, {QueryType::kNonzeroNn})[0].ids);
 }
 
 // ---------------------------------------------------------------------------
@@ -371,20 +312,6 @@ Backend Engine::EffectiveNonzeroBackend() const {
   }
 }
 
-std::vector<int> Engine::NonzeroNn(geom::Vec2 q) const {
-  switch (EffectiveNonzeroBackend()) {
-    case Backend::kNonzeroVoronoi:
-      return all_disk_ ? GetVoronoi().Query(q) : GetVoronoiDiscrete().Query(q);
-    case Backend::kNonzeroIndex:
-      return all_disk_ ? GetNonzeroIndex().Query(q)
-                       : GetNonzeroDiscrete().Query(q);
-    case Backend::kLinfIndex:
-      return GetLinfIndex().Query(q);
-    default:
-      return baselines::NonzeroNn(points_, q);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Warmup: build everything a query type needs before serving traffic
 // ---------------------------------------------------------------------------
@@ -407,63 +334,48 @@ void Engine::Warmup(const QuerySpec& spec) const {
 
 std::vector<Engine::QueryResult> Engine::QueryMany(
     std::span<const geom::Vec2> queries, const QuerySpec& spec) const {
-  // Degenerate parameters (see header) get definition-level answers from
-  // the shared contract; only the tau <= 0 case consults a backend.
-  std::vector<QueryResult> results;
-  if (query_contract::AnswerDegenerate(
-          queries, spec, size(),
-          [this](geom::Vec2 q) { return Probabilities(q); }, &results)) {
-    return results;
-  }
-  // Config::batch_traversal gates one uniform dispatch: false is the
-  // escape hatch to the scalar per-query loop; true routes every type
-  // through its shared-traversal kernel (spatial/batch.h), bit-identical
-  // to the scalar loop (docs/ARCHITECTURE.md "Batch traversal" has the
-  // coverage matrix and per-kernel exactness argument). Backends a type
-  // has no kernel for — the definition-level NN!=0 oracles, the Voronoi
-  // and L_inf families, the all-disk nonzero index — keep the scalar
-  // loop inside their case arm.
-  if (!config_.batch_traversal) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      geom::Vec2 q = queries[i];
-      QueryResult& r = results[i];
-      switch (spec.type) {
-        case QueryType::kMostProbableNn:
-          r.nn = MostProbableNn(q);
-          break;
-        case QueryType::kExpectedDistanceNn:
-          r.nn = ExpectedDistanceNn(q);
-          break;
-        case QueryType::kThreshold:
-          r.ranked = Threshold(q, spec.tau);
-          break;
-        case QueryType::kTopK:
-          r.ranked = TopK(q, spec.k);
-          break;
-        case QueryType::kNonzeroNn:
-          r.ids = NonzeroNn(q);
-          break;
-      }
-    }
-    return results;
-  }
+  // The shared contract answers the definition-level cases (see header);
+  // the rest reaches AnswerPack as one pack of finite queries.
+  return query_contract::Answer(
+      queries, spec, size(),
+      [this](std::span<const geom::Vec2> pack) {
+        return ProbabilitiesMany(pack);
+      },
+      [&](std::span<const geom::Vec2> pack) { return AnswerPack(pack, spec); });
+}
+
+std::vector<Engine::QueryResult> Engine::AnswerPack(
+    std::span<const geom::Vec2> queries, const QuerySpec& spec) const {
+  // Every type runs through its shared-traversal kernel (spatial/batch.h),
+  // bit-identical to the kernel's scalar query (docs/ARCHITECTURE.md
+  // "Batch traversal" has the coverage matrix and per-kernel exactness
+  // argument). Backends a type has no kernel for — the definition-level
+  // NN!=0 oracle, the Voronoi and L_inf families, the all-disk nonzero
+  // index — loop their scalar query inside their case arm.
+  std::vector<QueryResult> results(queries.size());
   switch (spec.type) {
-    case QueryType::kMostProbableNn: {
-      auto est = ProbabilitiesMany(queries);
+    case QueryType::kMostProbableNn:
+    case QueryType::kThreshold:
+    case QueryType::kTopK: {
+      auto est = ProbabilitiesMany(queries, query_contract::EpsNeeded(spec));
+      bool exact = EffectiveProbBackend() == Backend::kBruteForce;
       for (size_t i = 0; i < queries.size(); ++i) {
-        results[i].nn = PickMostProbable(est[i]);
+        results[i] = query_contract::FinishProbabilityQuery(
+            std::move(est[i]), spec, exact, config_.eps);
       }
       break;
     }
     case QueryType::kExpectedDistanceNn: {
       std::vector<int> ids(queries.size());
+      const core::ExpectedNn& index = GetExpectedNn();
       if (config_.backend != Backend::kBruteForce) {
-        GetExpectedNn().QueryExpectedBatch(queries, config_.tol, ids);
+        index.QueryExpectedBatch(queries, config_.tol, ids);
       } else {
-        // The pruned definition-level scan, batched: same value function
-        // and same QuantTree bounds as the scalar path; the quadrature
-        // tolerance is the value slack the kernel's guard band covers.
-        const core::ExpectedNn& index = GetExpectedNn();
+        // Definition-level argmin of E[d(q, P_i)], pruned by the
+        // quantification index's min-distance bounds (E[d] >= delta_i);
+        // the quadrature tolerance is the value slack the kernel's guard
+        // band covers. Quadrature values within Config::tol of each other
+        // may tie-break either way (docs/QUERY_SEMANTICS.md).
         GetQuantTree().ArgminPointwiseBatch(
             queries,
             [&](int id, int qi) {
@@ -474,37 +386,38 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
       for (size_t i = 0; i < queries.size(); ++i) results[i].nn = ids[i];
       break;
     }
-    case QueryType::kThreshold: {
-      bool exact = EffectiveProbBackend() == Backend::kBruteForce;
-      double eps = exact ? 0.0 : std::min(config_.eps, spec.tau / 2);
-      auto est = ProbabilitiesMany(queries, spec.tau / 2);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        for (auto [id, pi] : est[i]) {
-          if (pi + eps >= spec.tau) results[i].ranked.push_back({id, pi});
-        }
-        SortByEstimate(&results[i].ranked);
-      }
-      break;
-    }
-    case QueryType::kTopK: {
-      auto est = ProbabilitiesMany(queries);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        SortByEstimate(&est[i]);
-        if (static_cast<int>(est[i].size()) > spec.k) est[i].resize(spec.k);
-        results[i].ranked = std::move(est[i]);
-      }
-      break;
-    }
     case QueryType::kNonzeroNn: {
-      if (EffectiveNonzeroBackend() == Backend::kNonzeroIndex && !all_disk_) {
-        auto ids = GetNonzeroDiscrete().QueryBatch(queries);
+      auto each = [&](const auto& index) {
         for (size_t i = 0; i < queries.size(); ++i) {
-          results[i].ids = std::move(ids[i]);
+          results[i].ids = index.Query(queries[i]);
         }
-      } else {
-        for (size_t i = 0; i < queries.size(); ++i) {
-          results[i].ids = NonzeroNn(queries[i]);
-        }
+      };
+      switch (EffectiveNonzeroBackend()) {
+        case Backend::kNonzeroVoronoi:
+          if (all_disk_) {
+            each(GetVoronoi());
+          } else {
+            each(GetVoronoiDiscrete());
+          }
+          break;
+        case Backend::kNonzeroIndex:
+          if (all_disk_) {
+            each(GetNonzeroIndex());
+          } else {
+            auto ids = GetNonzeroDiscrete().QueryBatch(queries);
+            for (size_t i = 0; i < queries.size(); ++i) {
+              results[i].ids = std::move(ids[i]);
+            }
+          }
+          break;
+        case Backend::kLinfIndex:
+          each(GetLinfIndex());
+          break;
+        default:
+          for (size_t i = 0; i < queries.size(); ++i) {
+            results[i].ids = baselines::NonzeroNn(points_, queries[i]);
+          }
+          break;
       }
       break;
     }

@@ -47,10 +47,10 @@
 /// (`std::call_once` for the fixed structures, a shared-mutex-guarded
 /// snapshot for the accuracy-keyed estimators), so concurrent first
 /// queries build each structure exactly once. `Warmup` builds the
-/// structures a query type needs eagerly, which serving layers call before
-/// fanning a batch across workers so no query pays the build; see
-/// `src/serve/` for the thread pool, batch-parallel QueryMany, data
-/// sharding (ShardedEngine merges per-shard answers via the hooks below),
+/// structures a query type needs eagerly, which serving layers call when
+/// they publish a snapshot so no query pays the build; see `src/serve/`
+/// for the thread pool, data sharding (ShardedEngine merges per-shard
+/// answers via the hooks below and spreads large packs across the pool),
 /// and QueryServer built on top of this guarantee.
 
 namespace unn {
@@ -86,11 +86,6 @@ class Engine {
     uint64_t seed = 0xC0FFEE;
     /// Overrides the Theorem 4.3 Monte-Carlo sample count when > 0.
     int mc_samples_override = 0;
-    /// QueryMany serves batchable query types through the shared-traversal
-    /// kernels of spatial/batch.h (bit-identical to the scalar path —
-    /// docs/ARCHITECTURE.md "Batch traversal"). The flag is the escape
-    /// hatch: false forces the scalar per-query loop.
-    bool batch_traversal = true;
   };
 
   /// The query types QueryMany can batch.
@@ -122,54 +117,53 @@ class Engine {
   explicit Engine(std::vector<core::UncertainPoint> points);
   Engine(std::vector<core::UncertainPoint> points, const Config& config);
 
-  /// argmax_i pi_i(q), ties broken toward the smaller id. Exact for
-  /// kBruteForce on homogeneous inputs; within Config::eps for the
-  /// estimator backends. Backends without probability machinery
-  /// (kNonzeroVoronoi, kNonzeroIndex, kLinfIndex, kExpectedNn) fall back
-  /// to the exact oracle. Thread-safe; cost is one quantification query
-  /// of the effective backend (near-linear worst case for the
-  /// estimators, O(N log N) for the oracle).
-  int MostProbableNn(geom::Vec2 q) const;
-
-  /// argmin_i E[d(q, P_i)]. Served by core::ExpectedNn for every backend
-  /// except kBruteForce, which scans the definition. Thread-safe;
-  /// O(log n) expected via branch-and-bound, O(n) for the scan.
-  int ExpectedDistanceNn(geom::Vec2 q) const;
-
-  /// All i whose true pi_i(q) may reach tau, (id, estimate) sorted by
-  /// decreasing estimate: no false negatives (estimator accuracy is
-  /// raised to tau/2 when Config::eps is looser). Fallback as in
-  /// MostProbableNn. Thread-safe; one quantification query plus an
-  /// O(k log k) sort of the k reported pairs.
-  std::vector<std::pair<int, double>> Threshold(geom::Vec2 q,
-                                                double tau) const;
-
-  /// The k ids with the largest pi_i(q), (id, estimate) sorted by
-  /// decreasing estimate; near-ties within 2 eps may permute. Fallback as
-  /// in MostProbableNn. Thread-safe; one quantification query plus a
-  /// sort of the positive-probability candidates.
-  std::vector<std::pair<int, double>> TopK(geom::Vec2 q, int k) const;
-
-  /// NN!=0(q), sorted ids; exact. kLinfIndex answers under the Chebyshev
-  /// metric over DerivedSquares(); estimator backends (kSpiralSearch,
-  /// kMonteCarlo, kExpectedNn) fall back to the exact oracle.
-  /// Thread-safe; polylogarithmic + output-sensitive for the index
-  /// families, O(n) for the oracle.
-  std::vector<int> NonzeroNn(geom::Vec2 q) const;
-
-  /// Batched entry point: answers `spec` for every query point;
-  /// `results[i]` always answers `queries[i]`. Degenerate parameters get
-  /// definition-level answers instead of tripping backend preconditions:
-  /// an empty span returns an empty vector without building any structure,
-  /// `kTopK` with `k <= 0` returns empty rankings (likewise build-free),
-  /// `kThreshold` with `tau > 1` or NaN returns empty rankings (no pi
-  /// exceeds 1),
-  /// and `kThreshold` with `tau <= 0` returns every id with its estimate
-  /// (every pi reaches a non-positive threshold). `serve::QueryMany`
-  /// splits this loop across a thread pool. Thread-safe; cost is one
-  /// single-query dispatch per element.
+  /// Batched entry point and the one query dispatch: answers `spec` for
+  /// every query point; `results[i]` always answers `queries[i]`. Each
+  /// type runs through its backend's shared-traversal kernel
+  /// (spatial/batch.h), bit-identical to that kernel's scalar query
+  /// (docs/ARCHITECTURE.md "Batch traversal"). Definition-level answers
+  /// come from engine/query_contract.h without tripping backend
+  /// preconditions: an empty span returns an empty vector without
+  /// building any structure, `kTopK` with `k <= 0` returns empty rankings
+  /// (likewise build-free), `kThreshold` with `tau > 1` or NaN returns
+  /// empty rankings (no pi exceeds 1), `kThreshold` with `tau <= 0`
+  /// returns every id with its estimate (every pi reaches a non-positive
+  /// threshold), and a query point with a NaN or infinite coordinate gets
+  /// `nn = -1` with empty rankings and ids, for every type.
+  /// ShardedEngine::QueryMany spreads large packs across a thread pool.
+  /// Thread-safe.
+  ///
+  /// What each type computes:
+  ///   * kMostProbableNn — argmax_i pi_i(q), ties toward the smaller id.
+  ///     Exact for kBruteForce on homogeneous inputs; within Config::eps
+  ///     for the estimator backends. Backends without probability
+  ///     machinery (kNonzeroVoronoi, kNonzeroIndex, kLinfIndex,
+  ///     kExpectedNn) fall back to the exact oracle.
+  ///   * kExpectedDistanceNn — argmin_i E[d(q, P_i)]; core::ExpectedNn's
+  ///     branch-and-bound for every backend except kBruteForce, which runs
+  ///     the definition-level argmin pruned by the quantification index.
+  ///   * kThreshold — all i whose true pi_i(q) may reach tau, (id,
+  ///     estimate) sorted by decreasing estimate: no false negatives
+  ///     (estimator accuracy is raised to tau/2 when Config::eps is
+  ///     looser). Fallback as for kMostProbableNn.
+  ///   * kTopK — the k ids with the largest pi_i(q), sorted by decreasing
+  ///     estimate; near-ties within 2 eps may permute.
+  ///   * kNonzeroNn — NN!=0(q), sorted ids; exact. kLinfIndex answers
+  ///     under the Chebyshev metric over DerivedSquares(); estimator
+  ///     backends (kSpiralSearch, kMonteCarlo, kExpectedNn) fall back to
+  ///     the exact oracle.
   std::vector<QueryResult> QueryMany(std::span<const geom::Vec2> queries,
                                      const QuerySpec& spec) const;
+
+  /// Single-query conveniences: each is QueryMany over a pack of one with
+  /// the matching spec, so it shares every definition above (including
+  /// the degenerate-parameter and non-finite answers). Thread-safe.
+  int MostProbableNn(geom::Vec2 q) const;
+  int ExpectedDistanceNn(geom::Vec2 q) const;
+  std::vector<std::pair<int, double>> Threshold(geom::Vec2 q,
+                                                double tau) const;
+  std::vector<std::pair<int, double>> TopK(geom::Vec2 q, int k) const;
+  std::vector<int> NonzeroNn(geom::Vec2 q) const;
 
   /// Eagerly builds every structure the given query type needs at the
   /// config accuracy, so later queries of that type never build (and a
@@ -191,24 +185,21 @@ class Engine {
   }
 
   /// Quantification estimates (id, hat-pi) with positive estimate, sorted
-  /// by id, at accuracy `eps_needed` (<= 0 means Config::eps). Exposed so
-  /// callers can post-process distributions themselves — the sharded
-  /// serving layer treats this as the per-shard candidate generator.
-  /// Thread-safe; cost is one backend quantification query.
-  std::vector<std::pair<int, double>> Probabilities(
-      geom::Vec2 q, double eps_needed = 0.0) const;
-
-  /// Batched Probabilities: `out[i]` is bit-identical to
-  /// `Probabilities(queries[i], eps_needed)`. The effective estimator
-  /// answers the whole batch through its shared-traversal kernel
-  /// (spiral prefix retrieval via KNearestBatch, Monte-Carlo
-  /// instantiation NNs via NearestBatch, or the discretized spiral);
-  /// the exact-oracle fallback loops the scalar query. This is the
-  /// substrate QueryMany's batched MostProbableNn/Threshold/TopK arms
-  /// and the sharded pack fan-out share. Thread-safe.
+  /// by id, at accuracy `eps_needed` (<= 0 means Config::eps), for every
+  /// query of the batch. The effective estimator answers the whole batch
+  /// through its shared-traversal kernel (spiral prefix retrieval via
+  /// KNearestBatch, Monte-Carlo instantiation NNs via NearestBatch, or
+  /// the discretized spiral), bit-identical to the kernel's scalar query;
+  /// the exact-oracle fallback loops the definition. Exposed so callers
+  /// can post-process distributions themselves: it is the substrate of
+  /// QueryMany's MostProbableNn/Threshold/TopK arms and the sharded
+  /// layer's per-shard candidate generator. Thread-safe.
   std::vector<std::vector<std::pair<int, double>>> ProbabilitiesMany(
       std::span<const geom::Vec2> queries, double eps_needed = 0.0,
       spatial::BatchStats* stats = nullptr) const;
+  /// ProbabilitiesMany over a pack of one. Thread-safe.
+  std::vector<std::pair<int, double>> Probabilities(
+      geom::Vec2 q, double eps_needed = 0.0) const;
 
   // --- Per-point quantification hooks for cross-shard merging ----------
   // A sharded deployment partitions one logical point set across several
@@ -289,6 +280,9 @@ class Engine {
   bool all_disk() const { return all_disk_; }
 
  private:
+  /// QueryMany's dispatch for a kRegular spec over finite queries.
+  std::vector<QueryResult> AnswerPack(std::span<const geom::Vec2> queries,
+                                      const QuerySpec& spec) const;
   Backend EffectiveProbBackend() const;
   Backend EffectiveNonzeroBackend() const;
   std::vector<std::pair<int, double>> ExactProbabilities(geom::Vec2 q) const;

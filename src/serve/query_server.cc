@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -90,9 +91,13 @@ constexpr std::array<const char*, kNumQueryTypes> kQueryTypeNames = {
     "most_probable_nn", "expected_distance_nn", "threshold", "top_k",
     "nonzero_nn"};
 
-bool IsRegular(const Engine::QuerySpec& spec) {
-  return query_contract::Classify(spec) ==
-         query_contract::SpecClass::kRegular;
+/// True when the request needs a backend: a kRegular spec at a finite
+/// point. Everything else has a definition-level answer
+/// (engine/query_contract.h), which is never cached, shed or degraded.
+bool IsRegular(const Request& r) {
+  return query_contract::Classify(r.spec) ==
+             query_contract::SpecClass::kRegular &&
+         query_contract::IsFiniteQuery(r.q);
 }
 
 /// Raw spec equality — good enough for batching decisions (canonical
@@ -116,7 +121,7 @@ QueryServer::QueryServer(std::shared_ptr<const ShardedEngine> engine,
   // calls keep the shape of the engine the server was given (a server
   // seeded with 4 shards must not silently rebuild monolithic).
   if (sharding_.num_shards <= 1) sharding_ = ImpliedSharding(*engine);
-  std::shared_ptr<const Engine> degraded;
+  std::shared_ptr<const ShardedEngine> degraded;
   if (DegradeEnabled()) {
     degraded = BuildDegraded(CollectPoints(*engine), engine->config());
   }
@@ -143,7 +148,7 @@ QueryServer::QueryServer(std::vector<core::UncertainPoint> points,
   auto engine = std::make_shared<const ShardedEngine>(std::move(points),
                                                       config, sharding_,
                                                       &pool_);
-  std::shared_ptr<const Engine> degraded;
+  std::shared_ptr<const ShardedEngine> degraded;
   if (DegradeEnabled()) {
     degraded = BuildDegraded(std::move(degrade_points), config);
   }
@@ -157,11 +162,11 @@ QueryServer::QueryServer(std::vector<core::UncertainPoint> points,
 void QueryServer::WarmSnapshot(const Snapshot& snap) {
   for (Engine::QueryType type : options_.warm) {
     snap.engine->Warmup(type, &pool_);
-    if (snap.degraded != nullptr) snap.degraded->Warmup(type);
+    if (snap.degraded != nullptr) snap.degraded->Warmup(type, &pool_);
   }
 }
 
-std::shared_ptr<const Engine> QueryServer::BuildDegraded(
+std::shared_ptr<const ShardedEngine> QueryServer::BuildDegraded(
     std::vector<core::UncertainPoint> points,
     const Engine::Config& base) const {
   Engine::Config config = base;
@@ -171,12 +176,13 @@ std::shared_ptr<const Engine> QueryServer::BuildDegraded(
   // bounded, small per-query cost under overload.
   config.eps = std::min(0.9, std::max(base.eps, options_.degrade_eps));
   config.mc_samples_override = options_.degrade_mc_samples;
-  return std::make_shared<const Engine>(std::move(points), config);
+  return std::make_shared<const ShardedEngine>(
+      std::make_shared<const Engine>(std::move(points), config));
 }
 
 std::shared_ptr<const QueryServer::Snapshot> QueryServer::MakeSnapshot(
     std::shared_ptr<const ShardedEngine> engine,
-    std::shared_ptr<const Engine> degraded, uint64_t generation) {
+    std::shared_ptr<const ShardedEngine> degraded, uint64_t generation) {
   auto snap = std::make_shared<Snapshot>();
   snap->engine = std::move(engine);
   snap->degraded = std::move(degraded);
@@ -267,8 +273,10 @@ std::vector<QueryServer::SlowQuery> QueryServer::SlowQueries() const {
   return {slow_log_.begin(), slow_log_.end()};
 }
 
-void QueryServer::SubmitImpl(const Request& request,
-                             std::function<void(Response&&)> deliver) {
+std::future<Response> QueryServer::Submit(const Request& request) {
+  InflightGuard inflight(inflight_, draining_);
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = promise->get_future();
   const auto t0 = std::chrono::steady_clock::now();
   // Pin the snapshot at submission: the request is answered against the
   // dataset (and cache generation) that was current when the server
@@ -294,11 +302,11 @@ void QueryServer::SubmitImpl(const Request& request,
   // slow-query log, hand the response to the caller. `owned` keeps a
   // server-allocated context alive until then.
   auto finish = [this, ctx, owned = std::move(owned), root, request,
-                 deliver = std::move(deliver)](Response&& resp) {
+                 promise = std::move(promise)](Response&& resp) {
     if (ctx != nullptr) ctx->EndSpan(root);
     MaybeLogSlowQuery(request.q, request.spec, resp.source, resp.latency,
                       ctx, 0);
-    deliver(std::move(resp));
+    promise->set_value(std::move(resp));
   };
 
   // The admission span covers everything up to the dispatch decision.
@@ -309,10 +317,10 @@ void QueryServer::SubmitImpl(const Request& request,
     deadline_exceeded_->Inc();
     admission.End();
     finish(Response{{}, ResultSource::kDeadlineExceeded, ElapsedUs(t0)});
-    return;
+    return future;
   }
 
-  const bool regular = IsRegular(request.spec);
+  const bool regular = IsRegular(request);
   const bool cacheable = regular && !cache_.disabled();
 
   // Cache probe: a hit answers on the submitting thread, touching no
@@ -328,7 +336,7 @@ void QueryServer::SubmitImpl(const Request& request,
       resp.latency = ElapsedUs(t0);
       RecordLatency(request.spec.type, resp.latency);
       finish(std::move(resp));
-      return;
+      return future;
     }
   }
 
@@ -347,7 +355,7 @@ void QueryServer::SubmitImpl(const Request& request,
       std::span<const geom::Vec2> one(&request.q, 1);
       Response resp;
       resp.result =
-          std::move(snap->degraded->QueryMany(one, request.spec)[0]);
+          std::move(snap->degraded->QueryMany(one, request.spec, &pool_)[0]);
       span.End();
       resp.source = ResultSource::kDegraded;
       resp.latency = ElapsedUs(t0);
@@ -358,7 +366,7 @@ void QueryServer::SubmitImpl(const Request& request,
       shed_->Inc();
       finish(Response{{}, ResultSource::kShed, ElapsedUs(t0)});
     }
-    return;
+    return future;
   }
 
   admission.End();
@@ -367,12 +375,9 @@ void QueryServer::SubmitImpl(const Request& request,
   // Queue span: post to worker pickup (ended first thing in the task).
   const std::int32_t queue_span =
       ctx != nullptr ? ctx->StartSpan("queue", root) : -1;
-  // The worker fans a multi-shard query back out across the pool (nested
-  // ParallelFor; on a stopping pool it degrades to the worker alone).
-  ThreadPool* fan = snap->engine->num_shards() > 1 ? &pool_ : nullptr;
   std::function<void()> task =
       [this, snap = std::move(snap), finish = std::move(finish), request,
-       cacheable, fan, t0, ctx, root, queue_span] {
+       cacheable, t0, ctx, root, queue_span] {
         if (ctx != nullptr) ctx->EndSpan(queue_span);
         const obs::TraceNode root_at{ctx, root};
         Response resp;
@@ -382,13 +387,13 @@ void QueryServer::SubmitImpl(const Request& request,
           resp.source = ResultSource::kDeadlineExceeded;
           deadline_exceeded_->Inc();
         } else {
-          // Route through QueryMany so degenerate spec parameters follow
-          // the documented definitions instead of tripping single-query
-          // CHECKs.
+          // A pack of one: a multi-shard snapshot fans it back out across
+          // the pool (nested ParallelFor; on a stopping pool it degrades
+          // to the worker alone).
           obs::ScopedSpan engine_span(root_at, "engine_query");
           std::span<const geom::Vec2> one(&request.q, 1);
           resp.result = std::move(
-              snap->engine->QueryMany(one, request.spec, fan,
+              snap->engine->QueryMany(one, request.spec, &pool_,
                                       engine_span.node())[0]);
           engine_span.End();
           if (cacheable) {
@@ -416,28 +421,7 @@ void QueryServer::SubmitImpl(const Request& request,
     // always satisfied and nothing aborts.
     task();
   }
-}
-
-std::future<Response> QueryServer::Submit(const Request& request) {
-  InflightGuard inflight(inflight_, draining_);
-  auto promise = std::make_shared<std::promise<Response>>();
-  std::future<Response> result = promise->get_future();
-  SubmitImpl(request, [promise = std::move(promise)](Response&& resp) {
-    promise->set_value(std::move(resp));
-  });
-  return result;
-}
-
-std::future<Engine::QueryResult> QueryServer::Submit(
-    geom::Vec2 q, const Engine::QuerySpec& spec) {
-  InflightGuard inflight(inflight_, draining_);
-  auto promise = std::make_shared<std::promise<Engine::QueryResult>>();
-  std::future<Engine::QueryResult> result = promise->get_future();
-  SubmitImpl(Request{q, spec},
-             [promise = std::move(promise)](Response&& resp) {
-               promise->set_value(std::move(resp.result));
-             });
-  return result;
+  return future;
 }
 
 std::vector<Response> QueryServer::QueryBatch(
@@ -470,7 +454,7 @@ std::vector<Response> QueryServer::QueryBatch(
   // the way in (a batch the server accepts is not split).
   const bool at_limit =
       options_.max_inflight > 0 &&
-      // relaxed: same load-shedding heuristic as SubmitImpl's admission.
+      // relaxed: same load-shedding heuristic as Submit's admission.
       active_.load(std::memory_order_relaxed) >= options_.max_inflight;
   {
     obs::ScopedSpan admission(root_node, "batch_admission");
@@ -482,7 +466,7 @@ std::vector<Response> QueryServer::QueryBatch(
         deadline_exceeded_->Inc();
         continue;
       }
-      const bool regular = IsRegular(r.spec);
+      const bool regular = IsRegular(r);
       if (regular && !cache_.disabled() &&
           cache_.Lookup(cache_.Key(snap->generation, r.spec, r.q),
                         &responses[i].result)) {
@@ -514,15 +498,14 @@ std::vector<Response> QueryServer::QueryBatch(
   // Answers one index list on one backend, results scattered into
   // `responses`. The misses are partitioned by distinct spec (the dedup
   // scan is quadratic in the handful of distinct specs, cheaper than
-  // hashing) and each group runs through serve::QueryMany, so cache
-  // misses of the same spec form packs for the batched traversal kernels
-  // whether the batch arrived uniform (the common case, and always the
-  // legacy wrapper — one group) or mixed, instead of fanning scalar
-  // singletons. Per-spec amortizations (warm once, block splitting) are
-  // kept either way, and the grouping cannot change any answer: each
-  // Response is produced by the same backend QueryMany contract in
-  // request order.
-  auto run = [&](const std::vector<size_t>& idx, const auto& backend) {
+  // hashing) and each group runs through ShardedEngine::QueryMany with
+  // the pool, so cache misses of the same spec form packs for the batched
+  // traversal kernels — split into query blocks across the pool —
+  // whether the batch arrived uniform (the common case: one group) or
+  // mixed, instead of fanning scalar singletons. The grouping cannot
+  // change any answer: each Response is produced by the same QueryMany
+  // contract in request order.
+  auto run = [&](const std::vector<size_t>& idx, const ShardedEngine& backend) {
     std::vector<Engine::QuerySpec> distinct;
     std::vector<std::vector<size_t>> groups;
     for (size_t i : idx) {
@@ -541,7 +524,7 @@ std::vector<Response> QueryServer::QueryBatch(
         points[j] = requests[groups[g][j]].q;
       }
       std::vector<Engine::QueryResult> results =
-          QueryMany(backend, points, distinct[g], &pool_);
+          backend.QueryMany(points, distinct[g], &pool_);
       for (size_t j = 0; j < groups[g].size(); ++j) {
         responses[groups[g][j]].result = std::move(results[j]);
       }
@@ -562,7 +545,7 @@ std::vector<Response> QueryServer::QueryBatch(
       obs::ScopedSpan span(root_node, "cache_insert");
       for (size_t i : compute) {
         const Request& r = requests[i];
-        if (IsRegular(r.spec)) {
+        if (IsRegular(r)) {
           cache_.Insert(cache_.Key(snap->generation, r.spec, r.q),
                         responses[i].result);
         }
@@ -606,21 +589,6 @@ std::vector<Response> QueryServer::QueryBatch(
                       ctx.get(), static_cast<int>(requests.size()));
   }
   return responses;
-}
-
-std::vector<Engine::QueryResult> QueryServer::QueryBatch(
-    std::span<const geom::Vec2> queries, const Engine::QuerySpec& spec) {
-  std::vector<Request> requests(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    requests[i].q = queries[i];
-    requests[i].spec = spec;
-  }
-  std::vector<Response> batch = QueryBatch(requests);
-  std::vector<Engine::QueryResult> results(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    results[i] = std::move(batch[i].result);
-  }
-  return results;
 }
 
 void QueryServer::ReplaceDataset(std::vector<core::UncertainPoint> points) {
@@ -672,7 +640,7 @@ void QueryServer::InstallLocked(std::shared_ptr<const ShardedEngine> engine) {
   // so it dies only when the last of them finishes — and the generation
   // bump retires every cached result of the old snapshot without a
   // sweep.
-  std::shared_ptr<const Engine> degraded;
+  std::shared_ptr<const ShardedEngine> degraded;
   if (DegradeEnabled()) {
     degraded = BuildDegraded(CollectPoints(*engine), engine->config());
   }

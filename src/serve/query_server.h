@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <span>
@@ -17,7 +16,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/parallel.h"
 #include "serve/request.h"
 #include "serve/result_cache.h"
 #include "serve/server_stats.h"
@@ -43,11 +41,11 @@
 /// count and partitioner mid-flight; concurrent replacements serialize
 /// on a separate mutex that readers never touch.
 ///
-/// The primary serving API is `Submit(Request)` / `QueryBatch(span<
-/// Request>)` over the types in request.h; the historical `(Vec2,
-/// QuerySpec)` signatures forward to them. On top of the snapshot the
-/// server layers three QoS mechanisms (docs/ARCHITECTURE.md, "Serving
-/// QoS"):
+/// The serving API is `Submit(Request)` / `QueryBatch(span<Request>)`
+/// over the types in request.h; both answer through
+/// ShardedEngine::QueryMany with the server's pool. On top of the
+/// snapshot the server layers three QoS mechanisms (docs/ARCHITECTURE.md,
+/// "Serving QoS"):
 ///
 ///   * a snapshot-keyed result cache (result_cache.h): every answer is a
 ///     pure function of (snapshot, spec, point), snapshots carry a
@@ -91,9 +89,9 @@ class QueryServer {
     /// workers, never errors.
     std::vector<int> pin_cpus;
     /// Query types warmed on every snapshot before it starts serving
-    /// (construction and ReplaceDataset). Batches warm their own type
-    /// anyway; listing the types Submit traffic uses keeps single-query
-    /// latency flat.
+    /// (construction and ReplaceDataset). An unlisted type builds its
+    /// structures inside the first query that needs them (once per
+    /// snapshot); listing the types the traffic uses keeps latency flat.
     std::vector<Engine::QueryType> warm;
     /// Data partitioning for snapshots the server builds itself
     /// (dataset constructors and ReplaceDataset). num_shards <= 1 serves
@@ -177,8 +175,9 @@ class QueryServer {
   /// at submission time (a sharded snapshot fans the query out to all
   /// shards across the pool). The future is always satisfied — refusals
   /// are Responses (`kShed` / `kDeadlineExceeded`), never exceptions.
-  /// Degenerate spec parameters follow Engine::QueryMany's definitions
-  /// and are never cached, shed or degraded. Thread-safe. Shutdown note:
+  /// Degenerate spec parameters and non-finite query points follow
+  /// Engine::QueryMany's definitions and are never cached, shed or
+  /// degraded. Thread-safe. Shutdown note:
   /// a Submit that races server destruction no longer aborts — once the
   /// pool refuses new tasks the query runs inline on the submitting
   /// thread against the pinned snapshot (the same degradation
@@ -196,13 +195,6 @@ class QueryServer {
   /// they cover.
   std::future<Response> Submit(const Request& request);
 
-  /// Forwarding wrapper: `Submit({q, spec})` with no deadline at normal
-  /// priority, delivering just the result (cache and admission control
-  /// still apply; a shed request delivers an empty QueryResult).
-  /// Thread-safe.
-  std::future<Engine::QueryResult> Submit(geom::Vec2 q,
-                                          const Engine::QuerySpec& spec);
-
   /// Blocking batched API: probes the cache per request, then computes
   /// the misses across the pool (plus the calling thread); responses[i]
   /// answers requests[i]. The whole batch runs on one snapshot.
@@ -213,11 +205,6 @@ class QueryServer {
   /// responses carry their probe-time latency; computed ones the batch
   /// completion latency. Thread-safe.
   std::vector<Response> QueryBatch(std::span<const Request> requests);
-
-  /// Forwarding wrapper: one spec for every point, results only.
-  /// Thread-safe.
-  std::vector<Engine::QueryResult> QueryBatch(
-      std::span<const geom::Vec2> queries, const Engine::QuerySpec& spec);
 
   /// Atomically replaces the dataset: partitions per the server's current
   /// replacement sharding — the most recent of Options::sharding, the
@@ -247,11 +234,6 @@ class QueryServer {
   /// The worker pool (shared with callers that want to fan out their own
   /// work). Thread-safe.
   ThreadPool& pool() { return pool_; }
-
-  /// The historical name for the stats snapshot; see ServerStats
-  /// (server_stats.h) for the fields and the relaxed-counter ordering
-  /// contract.
-  using Stats = ServerStats;
 
   /// One stats snapshot: traffic counters, per-type counts, QoS
   /// outcomes, cache counters and latency percentiles. Every underlying
@@ -306,7 +288,9 @@ class QueryServer {
   /// unit so a request can never pair engine A with generation B.
   struct Snapshot {
     std::shared_ptr<const ShardedEngine> engine;
-    std::shared_ptr<const Engine> degraded;  ///< Null unless kDegrade.
+    /// Null unless kDegrade; one shard, so it answers through the same
+    /// QueryMany as `engine`.
+    std::shared_ptr<const ShardedEngine> degraded;
     uint64_t generation = 0;
   };
 
@@ -317,13 +301,13 @@ class QueryServer {
   }
   /// The cheap engine answering degraded traffic for a snapshot over
   /// `points` (Monte-Carlo backend, loosened eps, small sample count).
-  std::shared_ptr<const Engine> BuildDegraded(
+  std::shared_ptr<const ShardedEngine> BuildDegraded(
       std::vector<core::UncertainPoint> points,
       const Engine::Config& base) const;
   /// Assembles + warms a Snapshot and returns it ready to install.
   std::shared_ptr<const Snapshot> MakeSnapshot(
       std::shared_ptr<const ShardedEngine> engine,
-      std::shared_ptr<const Engine> degraded, uint64_t generation);
+      std::shared_ptr<const ShardedEngine> degraded, uint64_t generation);
   /// Shared replacement path: optional resharding, build on the pool,
   /// then InstallLocked. Takes replace_mu_.
   void ReplaceImpl(std::vector<core::UncertainPoint> points,
@@ -332,10 +316,6 @@ class QueryServer {
   /// must be held" comment made checkable.
   void InstallLocked(std::shared_ptr<const ShardedEngine> engine)
       UNN_REQUIRES(replace_mu_);
-  /// The full Submit flow with a pluggable delivery (the two public
-  /// Submit overloads differ only in what they promise).
-  void SubmitImpl(const Request& request,
-                  std::function<void(Response&&)> deliver);
   /// One locked shared_ptr copy: the snapshot serving at this instant.
   std::shared_ptr<const Snapshot> LoadState() const UNN_EXCLUDES(state_mu_);
   /// Publishes `next` as the serving snapshot. The displaced snapshot is

@@ -45,9 +45,7 @@ struct LatencySummary {
   double p99_us = 0;
 };
 
-/// The structured QueryServer stats snapshot (successor of the historical
-/// three-counter Stats struct — `queries` / `batches` / `swaps` keep
-/// their names and meanings, so existing readers compile unchanged).
+/// The structured QueryServer stats snapshot (QueryServer::stats()).
 ///
 /// Ordering contract (inherited from the old counters): every counter is
 /// maintained with relaxed atomics. Each is individually monotone and

@@ -13,8 +13,6 @@ namespace serve {
 
 namespace {
 
-using query_contract::SortByEstimate;
-
 /// Recursive kd-style splitter: hands `ids` out to `target` shards in
 /// proportion, splitting by the median region center along the wider
 /// axis. Appends each finished shard's id list to `out`.
@@ -198,185 +196,24 @@ int ShardedEngine::StructuresBuilt() const {
 // Queries
 // ---------------------------------------------------------------------------
 
-MergedProbabilities ShardedEngine::MergedProbs(geom::Vec2 q, double eps_needed,
-                                               ThreadPool* pool,
-                                               obs::TraceNode trace) const {
-  size_t shards = engines_.size();
-  std::vector<std::vector<std::pair<int, double>>> local(shards);
-  std::vector<core::DeltaEnvelope> env(shards);
-  {
-    obs::ScopedSpan fan(trace, "shard_fanout",
-                        static_cast<std::int64_t>(shards));
-    ForEachShard(
-        pool,
-        [&](int s) {
-          local[s] = engines_[s]->Probabilities(q, eps_needed);
-          env[s] = engines_[s]->MaxDistEnvelope(q);
-        },
-        fan.node());
-  }
-  obs::ScopedSpan merge(trace, "merge");
-  double eps = eps_needed > 0 ? std::min(eps_needed, config_.eps) : config_.eps;
-  return MergeProbabilities(views_, local, env, q, config_, eps);
-}
-
-std::vector<std::pair<int, double>> ShardedEngine::Probabilities(
-    geom::Vec2 q, double eps_needed, ThreadPool* pool,
-    obs::TraceNode trace) const {
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    std::vector<std::pair<int, double>> out =
-        engines_[0]->Probabilities(q, eps_needed);
-    for (auto& [id, pi] : out) id = global_ids_[0][id];
-    return out;
-  }
-  return MergedProbs(q, eps_needed, pool, trace).probs;
-}
-
-int ShardedEngine::MostProbableNn(geom::Vec2 q, ThreadPool* pool,
-                                  obs::TraceNode trace) const {
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    int lid = engines_[0]->MostProbableNn(q);
-    return lid < 0 ? lid : global_ids_[0][lid];
-  }
-  int best = -1;
-  double best_pi = -1.0;
-  for (auto [gid, pi] : MergedProbs(q, 0.0, pool, trace).probs) {
-    if (pi > best_pi) {
-      best = gid;
-      best_pi = pi;
-    }
-  }
-  return best;
-}
-
-int ShardedEngine::ExpectedDistanceNn(geom::Vec2 q, ThreadPool* pool,
-                                      obs::TraceNode trace) const {
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    int lid = engines_[0]->ExpectedDistanceNn(q);
-    return lid < 0 ? lid : global_ids_[0][lid];
-  }
-  std::vector<ExpectedCandidate> winners(engines_.size());
-  {
-    obs::ScopedSpan fan(trace, "shard_fanout",
-                        static_cast<std::int64_t>(engines_.size()));
-    ForEachShard(
-        pool,
-        [&](int s) {
-          int lid = engines_[s]->ExpectedDistanceNn(q);
-          winners[s] = {global_ids_[s][lid],
-                        engines_[s]->ExpectedDistance(lid, q)};
-        },
-        fan.node());
-  }
-  obs::ScopedSpan merge(trace, "merge");
-  return MergeExpected(winners);
-}
-
-std::vector<std::pair<int, double>> ShardedEngine::Threshold(
-    geom::Vec2 q, double tau, ThreadPool* pool, obs::TraceNode trace) const {
-  UNN_CHECK(tau > 0 && tau <= 1);
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    auto out = engines_[0]->Threshold(q, tau);
-    for (auto& [id, pi] : out) id = global_ids_[0][id];
-    SortByEstimate(&out);
-    return out;
-  }
-  MergedProbabilities merged = MergedProbs(q, tau / 2, pool, trace);
-  // Exact re-quantification reports the exact set {pi >= tau}; the
-  // Monte-Carlo fallback keeps the no-false-negative slack, like Engine.
-  double eps =
-      merged.requantified_exactly ? 0.0 : std::min(config_.eps, tau / 2);
-  std::vector<std::pair<int, double>> out;
-  for (auto [gid, pi] : merged.probs) {
-    if (pi + eps >= tau) out.push_back({gid, pi});
-  }
-  SortByEstimate(&out);
-  return out;
-}
-
-std::vector<std::pair<int, double>> ShardedEngine::TopK(
-    geom::Vec2 q, int k, ThreadPool* pool, obs::TraceNode trace) const {
-  UNN_CHECK(k >= 1);
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    auto out = engines_[0]->TopK(q, k);
-    for (auto& [id, pi] : out) id = global_ids_[0][id];
-    return out;
-  }
-  auto est = MergedProbs(q, 0.0, pool, trace).probs;
-  SortByEstimate(&est);
-  if (static_cast<int>(est.size()) > k) est.resize(k);
-  return est;
-}
-
-std::vector<int> ShardedEngine::NonzeroNn(geom::Vec2 q, ThreadPool* pool,
-                                          obs::TraceNode trace) const {
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    std::vector<int> out = engines_[0]->NonzeroNn(q);
-    for (int& id : out) id = global_ids_[0][id];
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-  size_t shards = engines_.size();
-  std::vector<std::vector<int>> local(shards);
-  std::vector<core::DeltaEnvelope> env(shards);
-  {
-    obs::ScopedSpan fan(trace, "shard_fanout",
-                        static_cast<std::int64_t>(shards));
-    ForEachShard(
-        pool,
-        [&](int s) {
-          local[s] = engines_[s]->NonzeroNn(q);
-          env[s] = engines_[s]->MaxDistEnvelope(q);
-        },
-        fan.node());
-  }
-  obs::ScopedSpan merge(trace, "merge");
-  return MergeNonzero(views_, local, env, q);
-}
-
-// ---------------------------------------------------------------------------
-// Batched entry point + warmup (Engine::QueryMany's degenerate contract)
-// ---------------------------------------------------------------------------
-
-Engine::QueryResult ShardedEngine::QueryOne(geom::Vec2 q,
-                                            const Engine::QuerySpec& spec,
-                                            ThreadPool* pool,
-                                            obs::TraceNode trace) const {
-  Engine::QueryResult r;
-  switch (spec.type) {
-    case Engine::QueryType::kMostProbableNn:
-      r.nn = MostProbableNn(q, pool, trace);
-      break;
-    case Engine::QueryType::kExpectedDistanceNn:
-      r.nn = ExpectedDistanceNn(q, pool, trace);
-      break;
-    case Engine::QueryType::kThreshold:
-      r.ranked = Threshold(q, spec.tau, pool, trace);
-      break;
-    case Engine::QueryType::kTopK:
-      r.ranked = TopK(q, spec.k, pool, trace);
-      break;
-    case Engine::QueryType::kNonzeroNn:
-      r.ids = NonzeroNn(q, pool, trace);
-      break;
-  }
-  return r;
-}
-
 std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
     std::span<const geom::Vec2> queries, const Engine::QuerySpec& spec,
     ThreadPool* pool, obs::TraceNode trace) const {
+  if (pool != nullptr && queries.size() > 1) {
+    // A pack spreads across the pool by queries: contiguous blocks, each
+    // visiting the shards serially (no nested fan-out), so a large batch
+    // saturates the pool. Answers are per-query and independent of the
+    // block boundaries, so results[i] matches the serial pack exactly.
+    std::vector<Engine::QueryResult> results(queries.size());
+    pool->ParallelFor(queries.size(), [&](size_t begin, size_t end) {
+      auto block =
+          QueryMany(queries.subspan(begin, end - begin), spec, nullptr, trace);
+      std::move(block.begin(), block.end(), results.begin() + begin);
+    });
+    return results;
+  }
   if (num_shards() == 1) {
     // Single shard: delegate wholesale (ids still need the global map).
-    // The shard's own QueryMany runs the batched kernels, and with only
-    // one shard to visit a pool buys nothing here — serve::QueryMany is
-    // the layer that spreads the pack itself across workers.
     obs::ScopedSpan span(trace, "shard_query", 0);
     auto results = engines_[0]->QueryMany(queries, spec);
     const std::vector<int>& gids = global_ids_[0];
@@ -387,28 +224,80 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
     }
     return results;
   }
-  // Same degenerate-parameter contract as Engine::QueryMany, from the
-  // shared definition (only the tau <= 0 case consults the shards).
-  std::vector<Engine::QueryResult> results;
-  if (query_contract::AnswerDegenerate(
-          queries, spec, size_,
-          [&](geom::Vec2 q) { return Probabilities(q, 0.0, pool, trace); },
-          &results)) {
-    return results;
-  }
-  if (!config_.batch_traversal) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      results[i] = QueryOne(queries[i], spec, pool, trace);
-    }
-    return results;
-  }
-  // Fan the whole pack to each shard once — one shard visit per shard
-  // per batch instead of per query — and merge per query. Each shard
-  // answers through its Engine's batched kernels (or the scalar loop for
-  // backends without one), bit-identical to QueryOne's per-query
-  // fan-out, so the merged answers match the scalar path exactly.
+  // A single query (pool given) fans out across the shards on the pool;
+  // otherwise the shards are visited serially. Same definition-level
+  // contract as Engine::QueryMany, from the shared definition.
+  return query_contract::Answer(
+      queries, spec, size_,
+      [&](std::span<const geom::Vec2> pack) {
+        std::vector<std::vector<std::pair<int, double>>> probs;
+        for (auto& merged : MergedProbabilitiesMany(pack, 0.0, pool, trace)) {
+          probs.push_back(std::move(merged.probs));
+        }
+        return probs;
+      },
+      [&](std::span<const geom::Vec2> pack) {
+        return FanOut(pack, spec, pool, trace);
+      });
+}
+
+std::vector<MergedProbabilities> ShardedEngine::MergedProbabilitiesMany(
+    std::span<const geom::Vec2> queries, double eps_needed, ThreadPool* pool,
+    obs::TraceNode trace) const {
   size_t shards = engines_.size();
+  std::vector<std::vector<std::vector<std::pair<int, double>>>> local(shards);
+  std::vector<std::vector<core::DeltaEnvelope>> env(shards);
+  {
+    obs::ScopedSpan fan(trace, "shard_fanout",
+                        static_cast<std::int64_t>(shards));
+    ForEachShard(
+        pool,
+        [&](int s) {
+          local[s] = engines_[s]->ProbabilitiesMany(queries, eps_needed);
+          env[s].resize(queries.size());
+          engines_[s]->MaxDistEnvelopeMany(queries, env[s]);
+        },
+        fan.node());
+  }
+  obs::ScopedSpan merge(trace, "merge");
+  double eps = eps_needed > 0 ? std::min(eps_needed, config_.eps) : config_.eps;
+  std::vector<MergedProbabilities> out(queries.size());
+  std::vector<std::vector<std::pair<int, double>>> q_local(shards);
+  std::vector<core::DeltaEnvelope> q_env(shards);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (size_t s = 0; s < shards; ++s) {
+      q_local[s] = std::move(local[s][i]);
+      q_env[s] = env[s][i];
+    }
+    out[i] = MergeProbabilities(views_, q_local, q_env, queries[i], config_,
+                                eps);
+  }
+  return out;
+}
+
+std::vector<Engine::QueryResult> ShardedEngine::FanOut(
+    std::span<const geom::Vec2> queries, const Engine::QuerySpec& spec,
+    ThreadPool* pool, obs::TraceNode trace) const {
+  // The whole pack visits each shard once, through the shard Engine's
+  // batched kernels, and merges per query.
+  size_t shards = engines_.size();
+  std::vector<Engine::QueryResult> results(queries.size());
   switch (spec.type) {
+    case Engine::QueryType::kMostProbableNn:
+    case Engine::QueryType::kThreshold:
+    case Engine::QueryType::kTopK: {
+      // Candidate-union re-quantification; the exact re-quantifier
+      // reports the exact set {pi >= tau}, the Monte-Carlo fallback keeps
+      // the no-false-negative slack, like Engine.
+      auto merged = MergedProbabilitiesMany(
+          queries, query_contract::EpsNeeded(spec), pool, trace);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        results[i] = query_contract::FinishProbabilityQuery(
+            std::move(merged[i].probs), spec, merged[i].requantified_exactly,
+            config_.eps);
+      }
+      break;
+    }
     case Engine::QueryType::kExpectedDistanceNn: {
       std::vector<std::vector<ExpectedCandidate>> cand(
           queries.size(), std::vector<ExpectedCandidate>(shards));
@@ -430,77 +319,6 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
       obs::ScopedSpan merge(trace, "merge");
       for (size_t i = 0; i < queries.size(); ++i) {
         results[i].nn = MergeExpected(cand[i]);
-      }
-      break;
-    }
-    case Engine::QueryType::kMostProbableNn:
-    case Engine::QueryType::kThreshold:
-    case Engine::QueryType::kTopK: {
-      // Per-shard batched candidate generation + envelopes, then the same
-      // candidate-union re-quantification per query as MergedProbs.
-      double eps_needed =
-          spec.type == Engine::QueryType::kThreshold ? spec.tau / 2 : 0.0;
-      std::vector<std::vector<std::vector<std::pair<int, double>>>> local(
-          shards);
-      std::vector<std::vector<core::DeltaEnvelope>> env(shards);
-      {
-        obs::ScopedSpan fan(trace, "shard_fanout",
-                            static_cast<std::int64_t>(shards));
-        ForEachShard(
-            pool,
-            [&](int s) {
-              local[s] = engines_[s]->ProbabilitiesMany(queries, eps_needed);
-              env[s].resize(queries.size());
-              engines_[s]->MaxDistEnvelopeMany(queries, env[s]);
-            },
-            fan.node());
-      }
-      obs::ScopedSpan merge(trace, "merge");
-      double eps =
-          eps_needed > 0 ? std::min(eps_needed, config_.eps) : config_.eps;
-      std::vector<std::vector<std::pair<int, double>>> q_local(shards);
-      std::vector<core::DeltaEnvelope> q_env(shards);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        for (size_t s = 0; s < shards; ++s) {
-          q_local[s] = std::move(local[s][i]);
-          q_env[s] = env[s][i];
-        }
-        MergedProbabilities merged = MergeProbabilities(
-            views_, q_local, q_env, queries[i], config_, eps);
-        switch (spec.type) {
-          case Engine::QueryType::kMostProbableNn: {
-            int best = -1;
-            double best_pi = -1.0;
-            for (auto [gid, pi] : merged.probs) {
-              if (pi > best_pi) {
-                best = gid;
-                best_pi = pi;
-              }
-            }
-            results[i].nn = best;
-            break;
-          }
-          case Engine::QueryType::kThreshold: {
-            double slack = merged.requantified_exactly
-                               ? 0.0
-                               : std::min(config_.eps, spec.tau / 2);
-            for (auto [gid, pi] : merged.probs) {
-              if (pi + slack >= spec.tau) {
-                results[i].ranked.push_back({gid, pi});
-              }
-            }
-            SortByEstimate(&results[i].ranked);
-            break;
-          }
-          default: {  // kTopK
-            SortByEstimate(&merged.probs);
-            if (static_cast<int>(merged.probs.size()) > spec.k) {
-              merged.probs.resize(spec.k);
-            }
-            results[i].ranked = std::move(merged.probs);
-            break;
-          }
-        }
       }
       break;
     }

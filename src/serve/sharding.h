@@ -16,9 +16,10 @@
 /// \file sharding.h
 /// Data partitioning for the serving layer: a ShardedEngine splits one
 /// uncertain point set across K independent Engines (shards), answers
-/// every Engine query type by fanning the query out to all shards (in
-/// parallel when given a pool) and recombining the per-shard answers with
-/// the merge semantics of shard_merge.h. This is the first cross-structure
+/// every Engine query type through one batched QueryMany — fanning each
+/// pack out to all shards and recombining the per-shard answers with the
+/// merge semantics of shard_merge.h, in parallel across a pool when given
+/// one. This is the first cross-structure
 /// answer-recombination seam — the same decomposition a multi-node
 /// deployment would use, exercised here inside one process.
 ///
@@ -114,63 +115,40 @@ class ShardedEngine {
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  // --- Query surface (mirrors Engine, global ids) ----------------------
-  // Every method fans out to all shards — in parallel across the given
-  // pool's workers plus the calling thread when `pool` is non-null,
-  // serially otherwise — then merges. All are const and thread-safe.
-  //
-  // The trailing `trace` node opts one call into request tracing: when
-  // its context is non-null the fan-out records "shard_fanout" /
-  // "shard_query" (tagged with the shard index) / "merge" spans under it.
-  // The default (null) node costs one pointer test per span site.
+  // --- Query surface (global ids) --------------------------------------
 
-  /// argmax_i pi_i(q) over the whole dataset via candidate-union
-  /// re-quantification; ties toward the smaller global id.
-  int MostProbableNn(geom::Vec2 q, ThreadPool* pool = nullptr,
-                     obs::TraceNode trace = {}) const;
-
-  /// argmin_i E[d(q, P_i)] via min-merge of the per-shard winners; exact
-  /// up to quadrature tolerance.
-  int ExpectedDistanceNn(geom::Vec2 q, ThreadPool* pool = nullptr,
-                         obs::TraceNode trace = {}) const;
-
-  /// All i whose pi_i(q) may reach tau, (id, estimate) sorted by
-  /// decreasing estimate. No false negatives: a point with global
-  /// probability >= tau has local probability >= tau on its shard (fewer
-  /// competitors can only increase pi), so it survives candidate
-  /// generation at accuracy tau/2 and the re-quantified estimate keeps it.
-  std::vector<std::pair<int, double>> Threshold(
-      geom::Vec2 q, double tau, ThreadPool* pool = nullptr,
-      obs::TraceNode trace = {}) const;
-
-  /// The k ids with the largest merged pi_i(q), sorted by decreasing
-  /// estimate; near-ties within the backend accuracy may permute.
-  std::vector<std::pair<int, double>> TopK(geom::Vec2 q, int k,
-                                           ThreadPool* pool = nullptr,
-                                           obs::TraceNode trace = {}) const;
-
-  /// NN!=0(q), sorted global ids; exact for every shard backend (union
-  /// filtered by the merged Delta envelope).
-  std::vector<int> NonzeroNn(geom::Vec2 q, ThreadPool* pool = nullptr,
-                             obs::TraceNode trace = {}) const;
-
-  /// Merged quantification estimates (global id, pi) with positive
-  /// estimate, sorted by id, at accuracy `eps_needed` (<= 0 means
-  /// Config::eps).
-  std::vector<std::pair<int, double>> Probabilities(
-      geom::Vec2 q, double eps_needed = 0.0, ThreadPool* pool = nullptr,
-      obs::TraceNode trace = {}) const;
-
-  /// Batched entry point with Engine::QueryMany's degenerate-parameter
-  /// contract (empty span / k <= 0 / tau outside (0, 1] answered
-  /// definition-level without touching any shard backend). With
-  /// Config::batch_traversal on, every query type fans the whole pack
-  /// to each shard once — one shard visit per shard per batch, each
-  /// running the shard Engine's batched kernels — and merges per query,
-  /// bit-identical to the per-query fan-out; with it off, the queries
-  /// run serially and each query's shard fan-out uses `pool` when
-  /// given. `serve::QueryMany` additionally spreads the pack itself
-  /// across a pool, which is the better fit for large batches.
+  /// Batched entry point with Engine::QueryMany's contract
+  /// (engine/query_contract.h: empty span, k <= 0, tau outside (0, 1] and
+  /// non-finite query points are answered definition-level without
+  /// touching any shard backend), merged per query type:
+  ///   * kMostProbableNn — argmax of the candidate-union
+  ///     re-quantification, ties toward the smaller global id;
+  ///   * kExpectedDistanceNn — min-merge of the per-shard winners; exact
+  ///     up to quadrature tolerance;
+  ///   * kThreshold — all i whose pi_i(q) may reach tau, sorted by
+  ///     decreasing estimate. No false negatives: a point with global
+  ///     probability >= tau has local probability >= tau on its shard
+  ///     (fewer competitors can only increase pi), so it survives
+  ///     candidate generation at accuracy tau/2 and the re-quantified
+  ///     estimate keeps it;
+  ///   * kTopK — the k largest merged pi_i(q); near-ties within the
+  ///     backend accuracy may permute;
+  ///   * kNonzeroNn — sorted global ids; exact for every shard backend
+  ///     (union filtered by the merged Delta envelope).
+  ///
+  /// Without a pool the pack visits each shard once, serially, through
+  /// the shard Engine's batched kernels, and merges per query. With a
+  /// pool the pack size picks the parallel axis: a single query fans out
+  /// across the shards on the pool (the low-latency Submit path), and a
+  /// larger pack splits into contiguous query blocks across the pool
+  /// (plus the calling thread), each block visiting the shards serially.
+  /// Either way every answer is bit-identical to the serial pack.
+  ///
+  /// The trailing `trace` node opts one call into request tracing: when
+  /// its context is non-null the fan-out records "shard_fanout" /
+  /// "shard_query" (tagged with the shard index) / "merge" spans under it.
+  /// The default (null) node costs one pointer test per span site.
+  /// Const and thread-safe.
   std::vector<Engine::QueryResult> QueryMany(
       std::span<const geom::Vec2> queries, const Engine::QuerySpec& spec,
       ThreadPool* pool = nullptr, obs::TraceNode trace = {}) const;
@@ -218,17 +196,24 @@ class ShardedEngine {
   int StructuresBuilt() const;
 
  private:
-  Engine::QueryResult QueryOne(geom::Vec2 q, const Engine::QuerySpec& spec,
-                               ThreadPool* pool, obs::TraceNode trace) const;
   /// Runs fn(s) for every shard index s, on `pool` (plus the calling
   /// thread) when given, serially otherwise. When `trace` is live each
   /// call is wrapped in a "shard_query" span tagged with s.
   void ForEachShard(ThreadPool* pool, const std::function<void(int)>& fn,
                     obs::TraceNode trace = {}) const;
-  /// Candidate generation + merged re-quantification at `eps_needed`.
-  MergedProbabilities MergedProbs(geom::Vec2 q, double eps_needed,
-                                  ThreadPool* pool,
-                                  obs::TraceNode trace = {}) const;
+  /// Per-shard candidate generation for the whole pack (the shards'
+  /// ProbabilitiesMany at `eps_needed` plus their envelopes, fanned out
+  /// on `pool` when given), then the candidate-union re-quantification
+  /// per query. Multi-shard sets only.
+  std::vector<MergedProbabilities> MergedProbabilitiesMany(
+      std::span<const geom::Vec2> queries, double eps_needed,
+      ThreadPool* pool, obs::TraceNode trace) const;
+  /// QueryMany's multi-shard dispatch for a kRegular spec over finite
+  /// queries: one visit per shard for the pack, then the per-type merge.
+  std::vector<Engine::QueryResult> FanOut(std::span<const geom::Vec2> queries,
+                                          const Engine::QuerySpec& spec,
+                                          ThreadPool* pool,
+                                          obs::TraceNode trace) const;
 
   std::vector<std::shared_ptr<const Engine>> engines_;
   std::vector<std::vector<int>> global_ids_;

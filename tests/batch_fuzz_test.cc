@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scalar_oracle.h"
 #include "core/expected_nn.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
@@ -460,8 +461,9 @@ TEST(BatchFuzz, MonteCarloQueryBatchBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level differential: QueryMany with batching on vs off must give
-// identical results for all five query types on randomized batches.
+// Engine-level differential: QueryMany must give the scalar kernels'
+// answers (tests/scalar_oracle.h) for all five query types on randomized
+// batches.
 // ---------------------------------------------------------------------------
 
 TEST(BatchFuzz, EngineQueryManyBatchedMatchesScalar) {
@@ -476,11 +478,8 @@ TEST(BatchFuzz, EngineQueryManyBatchedMatchesScalar) {
   for (int it = 0; it < iters; ++it) {
     uint64_t seed = 4000 + 7 * static_cast<uint64_t>(it);
     auto pts = AdversarialSet(it, 24 + it * 9, seed);
-    Engine::Config batched_cfg;
-    Engine::Config scalar_cfg;
-    scalar_cfg.batch_traversal = false;
-    Engine batched(pts, batched_cfg);
-    Engine scalar(pts, scalar_cfg);
+    Engine batched(pts, Engine::Config{});
+    test::ScalarOracle scalar(pts);
     std::mt19937_64 rng(seed);
     std::uniform_int_distribution<int> msize(1, 2 * geom::kLaneWidth + 1);
     for (const Engine::QuerySpec& spec : specs) {

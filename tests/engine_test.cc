@@ -484,5 +484,60 @@ TEST(EngineQueryMany, MatchesSingleQueries) {
   }
 }
 
+// A query point with a NaN or infinite coordinate gets the one documented
+// answer (nn = -1, nothing ranked, no ids) for every type and backend,
+// without building anything; finite queries in the same pack keep their
+// answers.
+TEST(EngineQueryMany, NonFiniteQueriesGetTheEmptyAnswer) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Vec2> bad = {{nan, 0}, {0, nan}, {inf, 0}, {0, -inf}};
+  const Engine::QuerySpec specs[] = {
+      {Engine::QueryType::kMostProbableNn, 0.5, 1},
+      {Engine::QueryType::kExpectedDistanceNn, 0.5, 1},
+      {Engine::QueryType::kThreshold, 0.3, 1},
+      {Engine::QueryType::kThreshold, 0.0, 1},
+      {Engine::QueryType::kTopK, 0.5, 3},
+      {Engine::QueryType::kNonzeroNn, 0.5, 1},
+  };
+  for (bool disks : {false, true}) {
+    auto pts = disks ? workload::RandomDisks(12, 62)
+                     : workload::RandomDiscrete(12, 3, 62);
+    for (Backend backend : {Backend::kAuto, Backend::kBruteForce,
+                            Backend::kNonzeroVoronoi, Backend::kLinfIndex}) {
+      Engine::Config cfg;
+      cfg.backend = backend;
+      Engine engine(pts, cfg);
+      for (const auto& spec : specs) {
+        for (const auto& r : engine.QueryMany(bad, spec)) {
+          EXPECT_EQ(r.nn, -1);
+          EXPECT_TRUE(r.ranked.empty());
+          EXPECT_TRUE(r.ids.empty());
+        }
+      }
+      EXPECT_EQ(engine.StructuresBuilt(), 0);
+      EXPECT_EQ(engine.MostProbableNn(bad[0]), -1);
+      EXPECT_EQ(engine.ExpectedDistanceNn(bad[2]), -1);
+      EXPECT_TRUE(engine.Threshold(bad[1], 0.3).empty());
+      EXPECT_TRUE(engine.TopK(bad[3], 2).empty());
+      EXPECT_TRUE(engine.NonzeroNn(bad[0]).empty());
+
+      // Mixed pack: the finite queries answer as they would alone.
+      const std::vector<Vec2> mixed = {{0.5, 0.5}, bad[0], {-1, 2}, bad[2]};
+      for (const auto& spec : specs) {
+        auto got = engine.QueryMany(mixed, spec);
+        for (size_t i : {0u, 2u}) {
+          auto alone = engine.QueryMany({&mixed[i], 1}, spec)[0];
+          EXPECT_EQ(got[i].nn, alone.nn);
+          EXPECT_EQ(got[i].ranked, alone.ranked);
+          EXPECT_EQ(got[i].ids, alone.ids);
+        }
+        EXPECT_EQ(got[1].nn, -1);
+        EXPECT_TRUE(got[3].ranked.empty() && got[3].ids.empty());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace unn

@@ -123,7 +123,7 @@ TEST(ExactPnn, IntegrationMatchesMonteCarloOnDisks) {
     for (auto [id, p] : integrated) sum += p;
     EXPECT_NEAR(sum, 1.0, 1e-6);  // Eq. (1) integrates to 1 over all i.
     for (auto [id, p] : integrated) {
-      EXPECT_NEAR(p, mc.QueryOne(q, id), 0.01)
+      EXPECT_NEAR(p, mc.PointProbability(q, id), 0.01)
           << "id=" << id << " q=(" << q.x << "," << q.y << ")";
     }
   }
@@ -141,7 +141,7 @@ TEST(MonteCarloPnn, DiscreteErrorWithinEps) {
     Vec2 q{qu(rng), qu(rng)};
     auto exact = baselines::QuantificationProbabilities(pts, q);
     for (size_t i = 0; i < pts.size(); ++i) {
-      EXPECT_NEAR(mc.QueryOne(q, static_cast<int>(i)), exact[i], 0.02)
+      EXPECT_NEAR(mc.PointProbability(q, static_cast<int>(i)), exact[i], 0.02)
           << "t=" << t << " i=" << i;
     }
   }

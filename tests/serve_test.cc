@@ -1,16 +1,21 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "query_helpers.h"
+#include "scalar_oracle.h"
 #include "engine/engine.h"
 #include "obs/profile.h"
-#include "serve/parallel.h"
 #include "serve/query_server.h"
 #include "serve/thread_pool.h"
 #include "workload/generators.h"
@@ -89,13 +94,14 @@ TEST(ThreadPool, ParallelForNestedInsideTaskCompletes) {
 }
 
 // ---------------------------------------------------------------------------
-// serve::QueryMany — parallel answers identical to the serial seam, in
-// order, for every query type.
+// ShardedEngine::QueryMany with a pool — query blocks across the workers,
+// answers identical to the serial pack, in order, for every query type.
 // ---------------------------------------------------------------------------
 
-TEST(ServeQueryMany, MatchesSerialForEveryTypeAndThreadCount) {
+TEST(PooledQueryMany, MatchesSerialForEveryTypeAndThreadCount) {
   auto pts = workload::RandomDiscrete(18, 3, 91);
-  Engine engine(pts, {});
+  auto engine = std::make_shared<const Engine>(pts, Engine::Config{});
+  serve::ShardedEngine one_shard(engine);
   auto qs = GridQueries(57);  // Not a multiple of any block count.
 
   const std::vector<Engine::QuerySpec> specs = {
@@ -106,10 +112,10 @@ TEST(ServeQueryMany, MatchesSerialForEveryTypeAndThreadCount) {
       {Engine::QueryType::kNonzeroNn, 0.5, 1},
   };
   for (const auto& spec : specs) {
-    auto serial = engine.QueryMany(qs, spec);
+    auto serial = engine->QueryMany(qs, spec);
     for (int threads : {1, 2, 8}) {
       serve::ThreadPool pool(threads);
-      auto parallel = serve::QueryMany(engine, qs, spec, &pool);
+      auto parallel = one_shard.QueryMany(qs, spec, &pool);
       ASSERT_EQ(parallel.size(), serial.size());
       for (size_t i = 0; i < qs.size(); ++i) {
         EXPECT_EQ(parallel[i].nn, serial[i].nn);
@@ -120,21 +126,22 @@ TEST(ServeQueryMany, MatchesSerialForEveryTypeAndThreadCount) {
   }
 }
 
-TEST(ServeQueryMany, EmptyBatchAndDegenerateSpecs) {
+TEST(PooledQueryMany, EmptyBatchAndDegenerateSpecs) {
   auto pts = workload::RandomDiscrete(10, 2, 92);
-  Engine engine(pts, {});
+  serve::ShardedEngine one_shard(
+      std::make_shared<const Engine>(pts, Engine::Config{}));
   serve::ThreadPool pool(2);
 
-  auto empty = serve::QueryMany(engine, {}, {}, &pool);
+  auto empty = one_shard.QueryMany({}, {}, &pool);
   EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(engine.StructuresBuilt(), 0);
+  EXPECT_EQ(one_shard.StructuresBuilt(), 0);
 
   auto qs = GridQueries(5);
   Engine::QuerySpec topk0{Engine::QueryType::kTopK, 0.5, 0};
-  for (const auto& r : serve::QueryMany(engine, qs, topk0, &pool)) {
+  for (const auto& r : one_shard.QueryMany(qs, topk0, &pool)) {
     EXPECT_TRUE(r.ranked.empty());
   }
-  EXPECT_EQ(engine.StructuresBuilt(), 0);
+  EXPECT_EQ(one_shard.StructuresBuilt(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -148,12 +155,12 @@ TEST(QueryServer, SubmitMatchesDirectQuery) {
   Engine oracle(pts, cfg);
 
   auto qs = GridQueries(20);
-  std::vector<std::future<Engine::QueryResult>> futures;
+  std::vector<std::future<serve::Response>> futures;
   for (Vec2 q : qs) {
-    futures.push_back(server.Submit(q, {Engine::QueryType::kMostProbableNn}));
+    futures.push_back(server.Submit({q, {Engine::QueryType::kMostProbableNn}}));
   }
   for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(futures[i].get().nn, oracle.MostProbableNn(qs[i]));
+    EXPECT_EQ(futures[i].get().result.nn, oracle.MostProbableNn(qs[i]));
   }
   EXPECT_EQ(server.stats().queries, qs.size());
 }
@@ -166,7 +173,8 @@ TEST(QueryServer, QueryBatchMatchesSerialEngine) {
   Engine oracle(pts, cfg);
 
   auto qs = GridQueries(33);
-  auto results = server.QueryBatch(qs, {Engine::QueryType::kNonzeroNn});
+  auto results =
+      test::BatchResults(server, qs, {Engine::QueryType::kNonzeroNn});
   ASSERT_EQ(results.size(), qs.size());
   for (size_t i = 0; i < qs.size(); ++i) {
     EXPECT_EQ(results[i].ids, oracle.NonzeroNn(qs[i]));
@@ -185,8 +193,8 @@ TEST(QueryServer, WarmOptionPrebuildsSnapshot) {
   EXPECT_GE(built, 1);
   // Serving warmed types builds nothing further.
   auto qs = GridQueries(8);
-  server.QueryBatch(qs, {Engine::QueryType::kMostProbableNn});
-  server.QueryBatch(qs, {Engine::QueryType::kNonzeroNn});
+  test::BatchResults(server, qs, {Engine::QueryType::kMostProbableNn});
+  test::BatchResults(server, qs, {Engine::QueryType::kNonzeroNn});
   EXPECT_EQ(server.snapshot()->StructuresBuilt(), built);
 }
 
@@ -210,8 +218,8 @@ TEST(QueryServer, ReplaceDatasetSwapsSnapshotAndKeepsOldAlive) {
 
   // New queries see the new dataset.
   Engine oracle_b(pts_b, {});
-  auto r = server.Submit(q, {Engine::QueryType::kMostProbableNn}).get();
-  EXPECT_EQ(r.nn, oracle_b.MostProbableNn(q));
+  auto r = server.Submit({q, {Engine::QueryType::kMostProbableNn}}).get();
+  EXPECT_EQ(r.result.nn, oracle_b.MostProbableNn(q));
 }
 
 // ---------------------------------------------------------------------------
@@ -448,21 +456,18 @@ TEST(QueryServer, DegenerateSpecsBypassCacheAndAdmission) {
   EXPECT_EQ(s.cache.insertions, 1u);  // The regular request; not tau=1.5.
 }
 
-// Pack-grouping property: a batched server (default) and a scalar server
-// (Config::batch_traversal = false) over the same points must produce
-// the same Responses for the same request stream — order, values,
-// ResultSource labels, and stats counters — on mixed-SpecClass batches
-// with degenerate specs, duplicate requests, and cache-hit
-// interleavings on the second pass.
-TEST(QueryServer, PackGroupingMatchesScalarServerOnMixedBatches) {
+// Pack-grouping property: the server's Responses for a request stream
+// must equal the scalar kernels' answers (tests/scalar_oracle.h) request
+// by request — order, values and ResultSource labels, plus the stats
+// counters — on mixed-SpecClass batches with degenerate specs, duplicate
+// requests, and cache-hit interleavings on the second pass.
+TEST(QueryServer, PackGroupingMatchesScalarOracleOnMixedBatches) {
   auto pts = workload::RandomDiscrete(20, 3, 101);
   serve::QueryServer::Options options;
   options.num_threads = 3;
   options.cache.max_bytes = 1u << 20;
-  Engine::Config scalar_cfg;
-  scalar_cfg.batch_traversal = false;
   serve::QueryServer batched(pts, {}, options);
-  serve::QueryServer scalar(pts, scalar_cfg, options);
+  test::ScalarOracle scalar(pts);
 
   auto qs = GridQueries(9);
   std::vector<serve::Request> reqs;
@@ -485,27 +490,39 @@ TEST(QueryServer, PackGroupingMatchesScalarServerOnMixedBatches) {
   }
   // Pass 0 computes everything; pass 1 interleaves cache hits with the
   // degenerate computes.
+  size_t regular = 0;
+  std::set<std::tuple<int, double, double>> distinct_regular;
+  for (const auto& r : reqs) {
+    if (r.spec.type == Engine::QueryType::kThreshold) continue;
+    ++regular;
+    distinct_regular.insert({static_cast<int>(r.spec.type), r.q.x, r.q.y});
+  }
   for (int pass = 0; pass < 2; ++pass) {
     auto got = batched.QueryBatch(reqs);
-    auto want = scalar.QueryBatch(reqs);
-    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(got.size(), reqs.size());
     for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].source, want[i].source)
-          << "pass=" << pass << " i=" << i;
-      EXPECT_EQ(got[i].result.nn, want[i].result.nn);
-      EXPECT_EQ(got[i].result.ranked, want[i].result.ranked);
-      EXPECT_EQ(got[i].result.ids, want[i].result.ids);
+      bool degenerate = reqs[i].spec.type == Engine::QueryType::kThreshold;
+      serve::ResultSource want_source = pass == 1 && !degenerate
+                                            ? serve::ResultSource::kCache
+                                            : serve::ResultSource::kComputed;
+      EXPECT_EQ(got[i].source, want_source) << "pass=" << pass << " i=" << i;
+      Engine::QueryResult want = scalar.QueryMany({&reqs[i].q, 1},
+                                                  reqs[i].spec)[0];
+      EXPECT_EQ(got[i].result.nn, want.nn);
+      EXPECT_EQ(got[i].result.ranked, want.ranked);
+      EXPECT_EQ(got[i].result.ids, want.ids);
     }
   }
   auto bs = batched.stats();
-  auto ss = scalar.stats();
-  EXPECT_EQ(bs.batches, ss.batches);
-  EXPECT_EQ(bs.queries, ss.queries);
-  EXPECT_EQ(bs.shed, ss.shed);
-  EXPECT_EQ(bs.cache.hits, ss.cache.hits);
-  EXPECT_EQ(bs.cache.insertions, ss.cache.insertions);
+  EXPECT_EQ(bs.batches, 2u);
+  EXPECT_EQ(bs.queries, 2 * reqs.size());
+  EXPECT_EQ(bs.shed, 0u);
+  EXPECT_EQ(bs.cache.hits, regular);
+  EXPECT_EQ(bs.cache.insertions, distinct_regular.size());
   for (int t = 0; t < serve::kNumQueryTypes; ++t) {
-    EXPECT_EQ(bs.queries_by_type[t], ss.queries_by_type[t]) << "type " << t;
+    size_t of_type = 0;
+    for (const auto& r : reqs) of_type += static_cast<int>(r.spec.type) == t;
+    EXPECT_EQ(bs.queries_by_type[t], 2 * of_type) << "type " << t;
   }
 }
 
@@ -581,7 +598,7 @@ TEST(QueryServer, DumpMetricsEmitsPrometheusCatalog) {
   for (Vec2 q : qs) reqs.push_back({q, {}});
   server.QueryBatch(reqs);
   server.QueryBatch(reqs);  // All repeats: cache hits.
-  server.Submit(qs[0], {Engine::QueryType::kNonzeroNn}).get();
+  server.Submit({qs[0], {Engine::QueryType::kNonzeroNn}}).get();
 
   // Traversal counters are process-global and appended at dump time.
   obs::ResetTraversalProfile();
@@ -681,7 +698,7 @@ TEST(QueryServer, SlowQueryLogIsBoundedAndCarriesSpans) {
   EXPECT_TRUE(server.SlowQueries().empty());
   auto qs = GridQueries(12);
   for (Vec2 q : qs) {
-    server.Submit(q, {Engine::QueryType::kMostProbableNn}).get();
+    server.Submit({q, {Engine::QueryType::kMostProbableNn}}).get();
   }
 
   std::vector<serve::QueryServer::SlowQuery> slow = server.SlowQueries();
@@ -694,6 +711,60 @@ TEST(QueryServer, SlowQueryLogIsBoundedAndCarriesSpans) {
     // The captured tree renders (slow-query dump format).
     std::string rendered = obs::RenderSpanTree(sq.spans);
     EXPECT_NE(rendered.find("request"), std::string::npos);
+  }
+}
+
+// Non-finite query points through the server, unsharded and sharded: the
+// documented empty answer for every type, labeled kComputed and never
+// cached (the second Submit computes again), never shed.
+TEST(QueryServer, NonFiniteQueriesAreAnsweredEmptyAndNeverCached) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto pts = workload::RandomDiscrete(24, 3, 109);
+  const Engine::QuerySpec specs[] = {
+      {Engine::QueryType::kMostProbableNn, 0.5, 1},
+      {Engine::QueryType::kExpectedDistanceNn, 0.5, 1},
+      {Engine::QueryType::kThreshold, 0.3, 1},
+      {Engine::QueryType::kTopK, 0.5, 3},
+      {Engine::QueryType::kNonzeroNn, 0.5, 1},
+  };
+  for (int shards : {1, 4}) {
+    serve::QueryServer::Options options;
+    options.num_threads = 2;
+    options.cache.max_bytes = 1u << 20;
+    options.sharding.num_shards = shards;
+    serve::QueryServer server(pts, {}, options);
+    for (const auto& spec : specs) {
+      for (Vec2 q : {Vec2{nan, 0}, Vec2{1, inf}}) {
+        for (int round = 0; round < 2; ++round) {
+          serve::Response resp = server.Submit({q, spec}).get();
+          EXPECT_EQ(resp.source, serve::ResultSource::kComputed)
+              << "shards=" << shards << " type="
+              << static_cast<int>(spec.type) << " round=" << round;
+          EXPECT_EQ(resp.result.nn, -1);
+          EXPECT_TRUE(resp.result.ranked.empty());
+          EXPECT_TRUE(resp.result.ids.empty());
+        }
+      }
+      // A batch mixing finite and non-finite points: the finite ones are
+      // computed (and cached), the non-finite ones answered empty.
+      std::vector<serve::Request> reqs = {
+          {{0.5, 0.5}, spec}, {{nan, nan}, spec}, {{-2, 1}, spec}};
+      auto first = server.QueryBatch(reqs);
+      auto second = server.QueryBatch(reqs);
+      EXPECT_EQ(second[0].source, serve::ResultSource::kCache);
+      EXPECT_EQ(second[1].source, serve::ResultSource::kComputed);
+      EXPECT_EQ(second[2].source, serve::ResultSource::kCache);
+      EXPECT_EQ(first[1].result.nn, -1);
+      EXPECT_TRUE(first[1].result.ranked.empty());
+      EXPECT_TRUE(first[1].result.ids.empty());
+      auto direct = server.sharded_snapshot()->QueryMany(
+          std::vector<Vec2>{{0.5, 0.5}}, spec);
+      EXPECT_EQ(first[0].result.nn, direct[0].nn);
+      EXPECT_EQ(first[0].result.ranked, direct[0].ranked);
+      EXPECT_EQ(first[0].result.ids, direct[0].ids);
+    }
+    EXPECT_EQ(server.stats().shed, 0u);
   }
 }
 

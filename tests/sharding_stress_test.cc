@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "query_helpers.h"
 #include "engine/engine.h"
 #include "serve/query_server.h"
 #include "serve/sharding.h"
@@ -53,10 +54,10 @@ TEST(ShardedEngineStress, WarmedShardsServeEightThreads) {
   std::vector<std::vector<std::pair<int, double>>> topk;
   std::vector<std::vector<int>> nonzero;
   for (Vec2 q : qs) {
-    most_probable.push_back(sharded.MostProbableNn(q));
-    expected_nn.push_back(sharded.ExpectedDistanceNn(q));
-    topk.push_back(sharded.TopK(q, 3));
-    nonzero.push_back(sharded.NonzeroNn(q));
+    most_probable.push_back(test::MostProbableNn(sharded, q));
+    expected_nn.push_back(test::ExpectedDistanceNn(sharded, q));
+    topk.push_back(test::TopK(sharded, q, 3));
+    nonzero.push_back(test::NonzeroNn(sharded, q));
   }
 
   // A pool shared by every hammering thread: concurrent fan-outs interleave.
@@ -70,12 +71,14 @@ TEST(ShardedEngineStress, WarmedShardsServeEightThreads) {
         Vec2 q = qs[j];
         // Alternate serial and pooled fan-out.
         serve::ThreadPool* pool = (t + i) % 2 == 0 ? &fan_pool : nullptr;
-        if (sharded.MostProbableNn(q, pool) != most_probable[j]) ++mismatches;
-        if (sharded.ExpectedDistanceNn(q, pool) != expected_nn[j]) {
+        if (test::MostProbableNn(sharded, q, pool) != most_probable[j]) {
           ++mismatches;
         }
-        if (sharded.TopK(q, 3, pool) != topk[j]) ++mismatches;
-        if (sharded.NonzeroNn(q, pool) != nonzero[j]) ++mismatches;
+        if (test::ExpectedDistanceNn(sharded, q, pool) != expected_nn[j]) {
+          ++mismatches;
+        }
+        if (test::TopK(sharded, q, 3, pool) != topk[j]) ++mismatches;
+        if (test::NonzeroNn(sharded, q, pool) != nonzero[j]) ++mismatches;
       }
     });
   }
@@ -117,7 +120,7 @@ TEST(QueryServerShardedStress, EightClientsWithConcurrentReshardingSwap) {
       Engine::QuerySpec spec{Engine::QueryType::kMostProbableNn, 0.5, 1};
       for (int round = 0; round < 5; ++round) {
         if ((t + round) % 2 == 0) {
-          auto results = server.QueryBatch(qs, spec);
+          auto results = test::BatchResults(server, qs, spec);
           for (size_t i = 0; i < qs.size(); ++i) {
             if (results[i].nn != ans_a[i] && results[i].nn != ans_b[i]) {
               ++mismatches;
@@ -125,7 +128,7 @@ TEST(QueryServerShardedStress, EightClientsWithConcurrentReshardingSwap) {
           }
         } else {
           size_t i = static_cast<size_t>(t * 7 + round) % qs.size();
-          int nn = server.Submit(qs[i], spec).get().nn;
+          int nn = server.Submit({qs[i], spec}).get().result.nn;
           if (nn != ans_a[i] && nn != ans_b[i]) ++mismatches;
         }
       }
@@ -141,7 +144,7 @@ TEST(QueryServerShardedStress, EightClientsWithConcurrentReshardingSwap) {
 
   // After the dust settles, the server answers for dataset B only.
   auto final_results =
-      server.QueryBatch(qs, {Engine::QueryType::kMostProbableNn});
+      test::BatchResults(server, qs, {Engine::QueryType::kMostProbableNn});
   for (size_t i = 0; i < qs.size(); ++i) {
     EXPECT_EQ(final_results[i].nn, ans_b[i]);
   }
@@ -156,7 +159,7 @@ TEST(QueryServerShardedStress, DestructionWithInFlightShardedSubmits) {
   Engine::Config cfg;
   cfg.backend = Backend::kBruteForce;
   auto qs = StressQueries(24);
-  std::vector<std::future<Engine::QueryResult>> futures;
+  std::vector<std::future<serve::Response>> futures;
   {
     serve::QueryServer server(
         pts, cfg,
@@ -164,12 +167,12 @@ TEST(QueryServerShardedStress, DestructionWithInFlightShardedSubmits) {
          .warm = {Engine::QueryType::kNonzeroNn},
          .sharding = {3, serve::Partitioning::kRoundRobin}});
     for (Vec2 q : qs) {
-      futures.push_back(server.Submit(q, {Engine::QueryType::kNonzeroNn}));
+      futures.push_back(server.Submit({q, {Engine::QueryType::kNonzeroNn}}));
     }
   }  // Destructor joins the pool; queued tasks drain first.
   Engine oracle(pts, cfg);
   for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(futures[i].get().ids, oracle.NonzeroNn(qs[i]));
+    EXPECT_EQ(futures[i].get().result.ids, oracle.NonzeroNn(qs[i]));
   }
 }
 

@@ -14,9 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include "query_helpers.h"
 #include "baselines/brute_force.h"
 #include "engine/engine.h"
-#include "serve/parallel.h"
 #include "serve/query_server.h"
 #include "serve/shard_merge.h"
 #include "serve/sharding.h"
@@ -78,11 +78,12 @@ TEST(PartitionPoints, SpatialShardsAreBalanced) {
 void ExpectParity(const Engine& single, const serve::ShardedEngine& sharded,
                   const std::vector<Vec2>& qs, double value_tol) {
   for (Vec2 q : qs) {
-    EXPECT_EQ(sharded.NonzeroNn(q), single.NonzeroNn(q));
-    EXPECT_EQ(sharded.MostProbableNn(q), single.MostProbableNn(q));
-    EXPECT_EQ(sharded.ExpectedDistanceNn(q), single.ExpectedDistanceNn(q));
+    EXPECT_EQ(test::NonzeroNn(sharded, q), single.NonzeroNn(q));
+    EXPECT_EQ(test::MostProbableNn(sharded, q), single.MostProbableNn(q));
+    EXPECT_EQ(test::ExpectedDistanceNn(sharded, q),
+              single.ExpectedDistanceNn(q));
     for (double tau : {0.25, 0.6}) {
-      auto got = sharded.Threshold(q, tau);
+      auto got = test::Threshold(sharded, q, tau);
       auto want = single.Threshold(q, tau);
       ASSERT_EQ(got.size(), want.size()) << "tau=" << tau;
       for (size_t i = 0; i < got.size(); ++i) {
@@ -90,7 +91,7 @@ void ExpectParity(const Engine& single, const serve::ShardedEngine& sharded,
         EXPECT_NEAR(got[i].second, want[i].second, value_tol);
       }
     }
-    auto got = sharded.TopK(q, 3);
+    auto got = test::TopK(sharded, q, 3);
     auto want = single.TopK(q, 3);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -143,8 +144,9 @@ TEST(ShardedEngine, ExactNonzeroAndExpectedOnMixedModel) {
   for (int k : {2, 4, 7}) {
     serve::ShardedEngine sharded(pts, cfg, {k, serve::Partitioning::kSpatial});
     for (Vec2 q : qs) {
-      EXPECT_EQ(sharded.NonzeroNn(q), single.NonzeroNn(q));
-      EXPECT_EQ(sharded.ExpectedDistanceNn(q), single.ExpectedDistanceNn(q));
+      EXPECT_EQ(test::NonzeroNn(sharded, q), single.NonzeroNn(q));
+      EXPECT_EQ(test::ExpectedDistanceNn(sharded, q),
+                single.ExpectedDistanceNn(q));
     }
   }
 }
@@ -161,7 +163,7 @@ TEST(ShardedEngine, IndexBackedShardsMatchOracleNonzero) {
     serve::ShardedEngine sharded(pts, cfg,
                                  {k, serve::Partitioning::kRoundRobin});
     for (Vec2 q : qs) {
-      EXPECT_EQ(sharded.NonzeroNn(q), single.NonzeroNn(q));
+      EXPECT_EQ(test::NonzeroNn(sharded, q), single.NonzeroNn(q));
     }
   }
 }
@@ -184,12 +186,12 @@ TEST(ShardedEngine, EstimatorShardsWithinEpsOfExact) {
           baselines::QuantificationProbabilities(pts, q);
       double best_exact = *std::max_element(exact.begin(), exact.end());
       // The merged most-probable answer is within 2 eps of optimal.
-      int got = sharded.MostProbableNn(q);
+      int got = test::MostProbableNn(sharded, q);
       ASSERT_GE(got, 0);
       EXPECT_GE(exact[got], best_exact - 2 * eps);
       // Threshold: no false negatives vs the exact distribution.
       const double tau = 0.3;
-      auto ranked = sharded.Threshold(q, tau);
+      auto ranked = test::Threshold(sharded, q, tau);
       std::set<int> reported;
       for (auto [id, pi] : ranked) reported.insert(id);
       for (size_t i = 0; i < exact.size(); ++i) {
@@ -224,9 +226,9 @@ TEST(ShardedEngine, SinglePointDataset) {
   cfg.backend = Backend::kBruteForce;
   serve::ShardedEngine sharded(pts, cfg, {4, serve::Partitioning::kSpatial});
   EXPECT_EQ(sharded.num_shards(), 1);
-  EXPECT_EQ(sharded.NonzeroNn({0, 0}), std::vector<int>{0});
-  EXPECT_EQ(sharded.MostProbableNn({0, 0}), 0);
-  EXPECT_EQ(sharded.ExpectedDistanceNn({0, 0}), 0);
+  EXPECT_EQ(test::NonzeroNn(sharded, {0, 0}), std::vector<int>{0});
+  EXPECT_EQ(test::MostProbableNn(sharded, {0, 0}), 0);
+  EXPECT_EQ(test::ExpectedDistanceNn(sharded, {0, 0}), 0);
 }
 
 TEST(ShardedEngine, AllMassOnOneShard) {
@@ -247,7 +249,7 @@ TEST(ShardedEngine, AllMassOnOneShard) {
   ExpectParity(single, sharded, qs, 1e-6);
   // The cluster owns the candidate set.
   for (Vec2 q : qs) {
-    for (int id : sharded.NonzeroNn(q)) EXPECT_LT(id, 6);
+    for (int id : test::NonzeroNn(sharded, q)) EXPECT_LT(id, 6);
   }
 }
 
@@ -269,10 +271,10 @@ TEST(ShardedEngine, CoincidentDuplicatesSplitAcrossShards) {
     serve::ShardedEngine sharded(pts, cfg,
                                  {k, serve::Partitioning::kRoundRobin});
     for (Vec2 q : qs) {
-      EXPECT_EQ(sharded.NonzeroNn(q), single.NonzeroNn(q));
-      EXPECT_EQ(sharded.TopK(q, 6), single.TopK(q, 6));
+      EXPECT_EQ(test::NonzeroNn(sharded, q), single.NonzeroNn(q));
+      EXPECT_EQ(test::TopK(sharded, q, 6), single.TopK(q, 6));
       // Duplicates tie in expected distance: compare values, not ids.
-      int got = sharded.ExpectedDistanceNn(q);
+      int got = test::ExpectedDistanceNn(sharded, q);
       int want = single.ExpectedDistanceNn(q);
       EXPECT_NEAR(single.ExpectedDistance(got, q),
                   single.ExpectedDistance(want, q), 1e-9);
@@ -349,10 +351,11 @@ TEST(ShardedEngine, ParallelFanOutMatchesSerial) {
         Engine::QueryType::kTopK, Engine::QueryType::kExpectedDistanceNn}) {
     Engine::QuerySpec spec{type, 0.5, 3};
     auto serial = sharded.QueryMany(qs, spec, nullptr);
-    // Per-query shard fan-out on the pool.
-    auto fanned = sharded.QueryMany(qs, spec, &pool);
-    // Query-parallel batch path.
-    auto batched = serve::QueryMany(sharded, qs, spec, &pool);
+    // Packs of one: shard fan-out on the pool.
+    std::vector<Engine::QueryResult> fanned;
+    for (Vec2 q : qs) fanned.push_back(test::Single(sharded, q, spec, &pool));
+    // The whole pack: query blocks across the pool.
+    auto batched = sharded.QueryMany(qs, spec, &pool);
     ASSERT_EQ(fanned.size(), serial.size());
     ASSERT_EQ(batched.size(), serial.size());
     for (size_t i = 0; i < qs.size(); ++i) {
@@ -452,7 +455,7 @@ TEST(ShardMerge, EnvelopeTieSemanticsAcrossShards) {
         for (int id = 0; id < whole.size(); ++id) {
           EXPECT_EQ(merged.ThresholdFor(id), scan.ThresholdFor(id)) << id;
         }
-        EXPECT_EQ(sharded.NonzeroNn(q), whole.NonzeroNn(q));
+        EXPECT_EQ(test::NonzeroNn(sharded, q), whole.NonzeroNn(q));
       }
     }
   }
@@ -477,14 +480,15 @@ TEST(QueryServerSharded, BatchAndSubmitMatchOracle) {
   EXPECT_EQ(server.sharded_snapshot()->num_shards(), 4);
 
   auto qs = GridQueries(21);
-  auto results = server.QueryBatch(qs, {Engine::QueryType::kMostProbableNn});
+  auto results =
+      test::BatchResults(server, qs, {Engine::QueryType::kMostProbableNn});
   ASSERT_EQ(results.size(), qs.size());
   for (size_t i = 0; i < qs.size(); ++i) {
     EXPECT_EQ(results[i].nn, oracle.MostProbableNn(qs[i]));
   }
   for (size_t i = 0; i < 5; ++i) {
-    auto fut = server.Submit(qs[i], {Engine::QueryType::kNonzeroNn});
-    EXPECT_EQ(fut.get().ids, oracle.NonzeroNn(qs[i]));
+    auto fut = server.Submit({qs[i], {Engine::QueryType::kNonzeroNn}});
+    EXPECT_EQ(fut.get().result.ids, oracle.NonzeroNn(qs[i]));
   }
 }
 
@@ -515,7 +519,8 @@ TEST(QueryServerSharded, ReplaceDatasetCanChangeShardCount) {
 
   Engine oracle(pts_a, cfg);
   auto qs = GridQueries(9);
-  auto results = server.QueryBatch(qs, {Engine::QueryType::kNonzeroNn});
+  auto results =
+      test::BatchResults(server, qs, {Engine::QueryType::kNonzeroNn});
   for (size_t i = 0; i < qs.size(); ++i) {
     EXPECT_EQ(results[i].ids, oracle.NonzeroNn(qs[i]));
   }
@@ -563,7 +568,7 @@ TEST(ShardedEngine, AssembledShardSetReportsExternalPartitioning) {
   EXPECT_EQ(sharded.options().partitioning, serve::Partitioning::kExternal);
   Engine single(pts, {});
   Vec2 q{0.5, -0.5};
-  EXPECT_EQ(sharded.NonzeroNn(q), single.NonzeroNn(q));
+  EXPECT_EQ(test::NonzeroNn(sharded, q), single.NonzeroNn(q));
 }
 
 }  // namespace

@@ -115,7 +115,7 @@ TEST(StressDegenerate, GuaranteedVoronoiSemantics) {
     Vec2 q{qu(rng), qu(rng)};
     int g = vd.GuaranteedNn(q);
     if (g < 0) continue;
-    EXPECT_DOUBLE_EQ(mc.QueryOne(q, g), 1.0) << "t=" << t;
+    EXPECT_DOUBLE_EQ(mc.PointProbability(q, g), 1.0) << "t=" << t;
     ++verified;
   }
   EXPECT_GT(verified, 10);
